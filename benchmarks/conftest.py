@@ -1,9 +1,12 @@
 """Benchmark harness configuration.
 
 Each benchmark regenerates one of the paper's tables or figures (plus a
-few microbenchmarks of the simulator's hot kernels).  Run with::
+few microbenchmarks of the simulator's hot kernels).  No pytest config
+collects ``bench_*.py``, so name the pattern when running them::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src:. pytest benchmarks/ -o python_files='bench_*.py' --benchmark-only
+
+They are not the gated benchmark; that is ``perfbench/run.py``.
 
 Experiment regenerators are deterministic, so they run one round via
 ``benchmark.pedantic``; the reported time is the cost of regenerating

@@ -1,10 +1,24 @@
-"""Legacy setup shim.
+"""Package metadata for ``repro``.
 
-The offline environment lacks the ``wheel`` package, so PEP 517 editable
-installs fail; this shim lets ``pip install -e .`` fall back to the
-classic ``setup.py develop`` path.  All metadata lives in pyproject.toml.
+All metadata lives here; there is deliberately no ``pyproject.toml``.
+Without one, ``pip install -e .`` takes the classic ``setup.py develop``
+path, which works where the ``wheel`` package is not installed and a
+PEP 517 build would fail.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+# One source of truth for the version: the package itself.
+INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -491,14 +491,24 @@ def _stride_assign(n: int, fractions: np.ndarray) -> np.ndarray:
     active = np.nonzero(fractions > 0)[0]
     if active.size == 1:
         return np.full(n, active[0], dtype=np.intp)
-    credits = np.zeros_like(fractions)
-    out = np.empty(n, dtype=np.intp)
+    # Plain floats, not numpy scalars: ``+=``, the first-maximum scan
+    # and ``-= 1.0`` are the same IEEE float64 operations as the vector
+    # form, at a fraction of its per-request cost.
+    shares = np.asarray(fractions, dtype=np.float64).tolist()
+    credits = [0.0] * len(shares)
+    clusters = range(len(shares))
+    out = [0] * n
     for k in range(n):
-        credits += fractions
-        pick = int(np.argmax(credits))
-        credits[pick] -= 1.0
+        pick = 0
+        best = -math.inf
+        for c in clusters:
+            credit = credits[c] + shares[c]
+            credits[c] = credit
+            if credit > best:
+                pick, best = c, credit
+        credits[pick] = best - 1.0
         out[k] = pick
-    return out
+    return np.array(out, dtype=np.intp)
 
 
 def evaluate_exact(

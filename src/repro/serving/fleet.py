@@ -6,7 +6,10 @@ replica, the replica's batching policy decides when to launch, and the
 replica's latency curve (platform-derived or constant) says how long the
 batch occupies the device and when responses return.  One event loop
 drives every replica, so cross-replica effects (load imbalance, JSQ
-draining hotspots) are simulated, not approximated.
+draining hotspots) are simulated, not approximated.  A static
+round-robin fleet has no such effects -- the router's assignment is
+fixed by arrival order -- so ``FleetSim.run`` replays it one replica at
+a time, batch by batch, with the event loop's exact results.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from repro import obs, perfcache
 from repro.nn.graph import Model
 from repro.platforms.base import BATCH_CANDIDATES, Platform
-from repro.serving.batcher import Batcher
+from repro.serving.batcher import Batcher, FixedBatcher, SLOAdaptiveBatcher, TimeoutBatcher
 from repro.serving.engine import (
     _FAST_DEFAULT,
     BatchServer,
@@ -219,6 +222,10 @@ class FleetResult:
         )
 
 
+#: Batchers whose launch rule the round-robin replay reproduces.
+_REPLAY_BATCHERS = (FixedBatcher, TimeoutBatcher, SLOAdaptiveBatcher)
+
+
 class FleetSim:
     """One in-flight discrete-event fleet simulation.
 
@@ -260,6 +267,10 @@ class FleetSim:
         # so autoscaler-spawned replicas get tids too.
         self._observe = obs.TRACER.enabled or obs.REGISTRY.enabled
         self._tids: dict[int, int] = {}
+        # Replicas and servers keep their counters across runs; the
+        # conservation check counts this run's share.
+        self._admitted_before = sum(r.admitted for r in self.replicas)
+        self._served_before = sum(r.server.served for r in self.replicas)
 
     def poll(self, replica: Replica) -> None:
         """Launch a batch on ``replica`` if its policy says so."""
@@ -316,7 +327,7 @@ class FleetSim:
             obs.histogram("serving.queue_depth_at_launch").observe(len(replica.queue))
 
     def _post_launch(
-        self, replica: Replica, batch: list[int], now: float, done: float
+        self, replica: Replica, batch: Sequence[int], now: float, done: float
     ) -> None:
         """Per-request lifecycle spans and queue-wait metrics (cold path)."""
         times = self._times
@@ -497,15 +508,197 @@ class FleetSim:
                 replica.admitted += c
                 pos += c
 
+    def _replays_round_robin(self) -> bool:
+        """Whether ``run`` may replay the fleet replica by replica.
+
+        Round-robin replicas share nothing but the arrival order and the
+        end-of-trace instant, so a static round-robin fleet of in-tree
+        batchers can be replayed one replica at a time.  Anything else
+        -- a custom router or batcher, a dynamic eligible set or
+        pre-scheduled events (the autoscaler), an unsorted trace, work
+        or busy time carried over from an earlier run -- takes the event
+        path, which stays the reference (``fast=False``).
+        """
+        first = self._times[0]
+        return (
+            self.fast
+            and type(self.router) is RoundRobinRouter
+            and self.eligible == self.replicas
+            and not self.loop._heap
+            and all(type(r.batcher) in _REPLAY_BATCHERS for r in self.replicas)
+            # No carried-over work: a server still busy from an earlier
+            # run has no free event on this loop, so requests queued
+            # behind it can be left to ``_flush_residual``, whose timing
+            # depends on the whole fleet's event clock.
+            and all(not r.queue and r.server.free_at <= first for r in self.replicas)
+            and not np.any(np.diff(self.arrivals) < 0)
+        )
+
+    def _replay_round_robin(self) -> None:
+        """Replay a static round-robin fleet one replica at a time.
+
+        Replica ``p`` receives the arrivals ``i`` with
+        ``(router._next + i) % N == p`` -- a strided slice of the sorted
+        trace -- and nothing else couples the replicas except the
+        end-of-trace drain, which fires on every replica at the last
+        arrival.  Each replica's batches are therefore a function of its
+        own slice, and :meth:`_replay_replica` forms them by walking
+        idle phases instead of dispatching heap events.
+        """
+        replicas = self.replicas
+        count = len(replicas)
+        base = self.router._next
+        times = self._times
+        n = len(times)
+        owner = (base + n - 1) % count  # replica that takes the last arrival
+        for pos, replica in enumerate(replicas):
+            start = (pos - base) % count
+            # A strided view shares the float objects; one replica needs none.
+            own = times[start::count] if count > 1 else times
+            if not own:
+                continue
+            replica.admitted += len(own)
+            if self._observe:
+                replica.server.trace_tid = self._tids[id(replica)] = pos
+            served = self._replay_replica(replica, own, start, count, pos == owner)
+            if served < len(own):  # drain=False leftovers stay queued
+                replica.queue.extend(range(start + served * count, n, count))
+        self.router._next = base + n
+        self.pending = 0
+
+    def _replay_replica(
+        self, replica: Replica, own: list[float], start: int, stride: int, owns_last: bool
+    ) -> int:
+        """Form one replica's batches from its arrivals; returns how many it served.
+
+        The replica is polled exactly where the event path polls it: at
+        each arrival (arrivals win time ties against timers), at the
+        end-of-trace drain instant (the last arrival, after every
+        arrival), at the free event after each launch, and at every
+        deadline timer it scheduled -- stale ones from earlier batches
+        included, since a poll on a new head can still launch there.
+        Polls while busy are no-ops, so after a launch every arrival
+        before ``free_at`` is admitted with one bisect.
+
+        A stale timer finds the same queue as the poll before it, and
+        only the clock has moved; for a head that arrived at ``a`` with
+        wait budget ``w`` it launches only if ``t - a >= w`` while
+        ``t < a + w`` in floating point -- a rounding corner, but a real
+        one, so live timers are kept rather than dropped.
+        """
+        server = replica.server
+        batcher = replica.batcher
+        dispatch_size = batcher.dispatch_size
+        wait_deadline = batcher.wait_deadline
+        max_batch = batcher.max_batch
+        drain = self.drain
+        observe = self._observe
+        inf = math.inf
+        last = self._times[-1]  # the drain instant
+        m = len(own)
+        polled = m - 1 if owns_last else m  # the last arrival polls as the drain
+        drained = False
+        free_at = server.free_at
+        free_poll = False  # no free event pending before the first launch
+        timers: list[float] = []  # live deadline timers (heap)
+        newest_timer = -inf
+        head = admitted = written = 0
+        # Completion time and size of the batches whose responses are
+        # not yet written, flushed in blocks to bound the temporaries.
+        dones: list[float] = []
+        sizes: list[int] = []
+        while True:
+            # Next poll in event order: an arrival, then the drain, then
+            # the heap (free event or deadline timer) at equal times.
+            heap_at = free_at if free_poll else inf
+            if timers and timers[0] < heap_at:
+                heap_at = timers[0]
+            if admitted < polled and own[admitted] <= heap_at:
+                now = own[admitted]
+                admitted += 1
+                pending_zero = False
+            elif not drained and last <= heap_at:
+                now = last
+                admitted = m
+                drained = pending_zero = True
+            elif heap_at < inf:
+                now = heap_at
+                if free_poll and free_at == now:
+                    free_poll = False
+                else:
+                    heapq.heappop(timers)
+                pending_zero = now >= last
+            else:
+                break
+            queued = admitted - head
+            if not queued:
+                continue
+            oldest = own[head]
+            n = dispatch_size(queued, now - oldest)
+            if n == 0:
+                deadline = wait_deadline(queued, oldest)
+                if (deadline is not None and deadline <= now) or (pending_zero and drain):
+                    n = min(queued, max_batch)
+                else:
+                    if deadline is not None and deadline != newest_timer:
+                        heapq.heappush(timers, deadline)
+                        newest_timer = deadline
+                    continue
+            if observe and obs.REGISTRY.enabled:
+                obs.histogram("serving.queue_depth_at_launch").observe(queued)
+            done = server.start_batch(now, n)
+            if observe:
+                first = start + head * stride
+                self._post_launch(replica, range(first, first + n * stride, stride), now, done)
+            dones.append(done)
+            sizes.append(n)
+            head += n
+            if len(sizes) == self._WRITE_BATCHES:
+                written = self._write_responses(start, stride, written, dones, sizes)
+            # Busy until free_at: earlier arrivals queue silently, the
+            # drain poll (if it falls inside) is a no-op, timers lapse.
+            free_at = server.free_at
+            free_poll = True
+            admitted = bisect_left(own, free_at, admitted, polled)
+            if not drained and last < free_at:
+                admitted = m
+                drained = True
+            while timers and timers[0] < free_at:
+                heapq.heappop(timers)
+        if sizes:
+            self._write_responses(start, stride, written, dones, sizes)
+        return head
+
+    #: Batches per response write of the round-robin replay.
+    _WRITE_BATCHES = 1024
+
+    def _write_responses(
+        self, start: int, stride: int, written: int, dones: list[float], sizes: list[int]
+    ) -> int:
+        """Write one replica's next batches of responses; empties the buffers.
+
+        The replica's requests are served in arrival order, so the next
+        ``sum(sizes)`` of its strided slice are exactly these batches.
+        """
+        end = written + sum(sizes)
+        served = slice(start + written * stride, start + end * stride, stride)
+        np.subtract(np.repeat(dones, sizes), self.arrivals[served], out=self.responses[served])
+        dones.clear()
+        sizes.clear()
+        return end
+
     def run(self) -> FleetResult:
-        self._run_events()
-        if self.drain:
-            self._flush_residual()
+        if self._replays_round_robin():
+            self._replay_round_robin()
+        else:
+            self._run_events()
+            if self.drain:
+                self._flush_residual()
 
         # The engine invariant: every admitted request got a response
         # (or, with drain=False, is reported as unserved -- never lost).
-        admitted = sum(r.admitted for r in self.replicas)
-        served = sum(r.server.served for r in self.replicas)
+        admitted = sum(r.admitted for r in self.replicas) - self._admitted_before
+        served = sum(r.server.served for r in self.replicas) - self._served_before
         unserved_mask = np.isnan(self.responses)
         unserved = int(np.count_nonzero(unserved_mask))
         if admitted != self.arrivals.size or admitted != served + unserved:

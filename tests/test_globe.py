@@ -32,6 +32,7 @@ from repro.globe import (
     simulate_global,
     weighted_percentile,
 )
+from repro.globe.backend import _stride_assign
 from repro.latency.queueing import (
     erlang_c,
     fluid_backlog,
@@ -123,6 +124,53 @@ class TestHybridVsExact:
         a = simulate_global(small_world(rate=4000.0))
         b = simulate_global(small_world(rate=4000.0))
         assert a == b
+
+
+def _stride_assign_reference(n, fractions):
+    """The numpy stride scheduler the exact backend used to run: the oracle."""
+    active = np.nonzero(fractions > 0)[0]
+    if active.size == 1:
+        return np.full(n, active[0], dtype=np.intp)
+    credits = np.zeros_like(fractions)
+    out = np.empty(n, dtype=np.intp)
+    for k in range(n):
+        credits += fractions
+        pick = int(np.argmax(credits))
+        credits[pick] -= 1.0
+        out[k] = pick
+    return out
+
+
+class TestStrideAssign:
+    """The plain-float stride scheduler must pick exactly what the
+    numpy one picks: same IEEE additions, same first-maximum ties."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 1.0)),
+            min_size=1, max_size=6,
+        ).filter(lambda w: sum(w) > 0),
+        n=st.integers(0, 300),
+    )
+    def test_matches_numpy_oracle(self, weights, n):
+        fractions = np.array(weights) / sum(weights)
+        got = _stride_assign(n, fractions)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, _stride_assign_reference(n, fractions))
+
+    @pytest.mark.parametrize("fractions", [
+        [0.5, 0.5],  # every other arrival is an exact tie
+        [0.25, 0.25, 0.25, 0.25],
+        [1 / 3, 1 / 3, 1 / 3],
+        [0.0, 0.5, 0.0, 0.5],
+        [0.0, 1.0, 0.0],
+    ])
+    def test_ties_break_toward_the_first_cluster(self, fractions):
+        fractions = np.array(fractions)
+        assert np.array_equal(
+            _stride_assign(1000, fractions), _stride_assign_reference(1000, fractions)
+        )
 
 
 # ----------------------------------------------------------------------

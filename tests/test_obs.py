@@ -226,6 +226,46 @@ def test_serving_metrics_recorded_per_batch():
     assert snapshot["serving.batch_size"]["max"] <= 4
 
 
+def test_round_robin_replay_emits_the_event_paths_telemetry():
+    """The round-robin replay records the same batch and request spans
+    and serving histograms as the event path; only the order differs,
+    and each replica's track is its position in the fleet."""
+    import numpy as np
+
+    from repro.serving.batcher import TimeoutBatcher
+    from repro.serving.fleet import FleetSim, make_router
+    from repro.serving.traffic import poisson_arrivals
+
+    arrivals = poisson_arrivals(rate=5000.0, n_requests=400, seed=4)
+    seen = {}
+    for fast in (True, False):
+        obs.TRACER.clear()
+        obs.REGISTRY.reset()
+        obs.set_tracing(True)
+        obs.set_metrics(True)
+        replicas = [
+            Replica(ConstantCurve(1e-3, 1.5e-3), TimeoutBatcher(8, 5e-4)) for _ in range(3)
+        ]
+        result = FleetSim(replicas, make_router("round_robin"), arrivals, fast=fast).run()
+        spans = sorted(
+            (s.name, s.pid, s.ts, s.dur, sorted(s.args.items()))
+            for s in obs.TRACER.snapshot() if s.cat == "serving"
+        )
+        hists = {
+            name: (h.count, h.min, h.max, sorted(h._samples))
+            for name in ("serving.queue_depth_at_launch", "serving.queue_wait_s",
+                         "serving.batch_size", "serving.batch_occupancy_s")
+            for h in [obs.histogram(name)]
+        }
+        seen[fast] = (spans, hists, result.responses.tobytes())
+        if fast:
+            batch_tids = {s.tid for s in obs.TRACER.snapshot() if s.name == "batch"}
+            assert batch_tids == {0, 1, 2}
+    assert seen[True] == seen[False]
+    assert len([s for s in seen[True][0] if s[0] == "request"]) == arrivals.size
+    assert np.isfinite(seen[True][1]["serving.queue_wait_s"][2])
+
+
 def test_device_metrics_mirror_cycle_breakdown():
     obs.set_metrics(True)
     driver = TPUDriver()

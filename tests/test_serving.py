@@ -1,8 +1,14 @@
 """Fleet serving simulator tests: batchers, routers, traffic, sweeps."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.serving.fleet as fleet_module
 from repro.latency.queueing import simulate_batch_queue
 from repro.serving.batcher import (
     FixedBatcher,
@@ -10,8 +16,21 @@ from repro.serving.batcher import (
     TimeoutBatcher,
     make_batcher,
 )
-from repro.serving.engine import ConstantCurve, EventLoop, run_closed_loop, summarize
-from repro.serving.fleet import Fleet, FleetSim, PlatformCurve, Replica, make_router
+from repro.serving.engine import (
+    ConstantCurve,
+    EventLoop,
+    LatencyCurve,
+    run_closed_loop,
+    summarize,
+)
+from repro.serving.fleet import (
+    Fleet,
+    FleetSim,
+    PlatformCurve,
+    Replica,
+    RoundRobinRouter,
+    make_router,
+)
 from repro.serving.sweep import (
     FleetSpec,
     max_throughput_under_slo,
@@ -27,6 +46,19 @@ from repro.serving.traffic import (
 )
 
 SERVICE = 2e-3  # 2 ms per batch, any size
+
+
+class _LinearCurve(LatencyCurve):
+    """``fixed + per_item * n`` occupancy, plus a constant response tail."""
+
+    def __init__(self, fixed, per_item, tail):
+        self.fixed, self.per_item, self.tail = fixed, per_item, tail
+
+    def occupancy(self, batch):
+        return self.fixed + self.per_item * batch
+
+    def latency(self, batch):
+        return self.occupancy(batch) + self.tail
 
 
 def single_replica(batcher, occupancy=SERVICE, latency=None):
@@ -353,6 +385,164 @@ class TestVectorizedServingParity:
         }
         assert np.array_equal(runs[True].responses, runs[False].responses)
         assert runs[True].busy_intervals == runs[False].busy_intervals
+
+    # -- round-robin replay vs the event path ---------------------------
+    #
+    # Arrivals sit on a coarse time grid and service times are grid
+    # multiples, so exact time ties -- arrival vs free event vs deadline
+    # timer vs drain -- are the common case, not the exception.  A
+    # power-of-two grid keeps every sum exact; decimal grids add
+    # rounding.
+    GRIDS = (2.0**-11, 5e-4, 1e-3)
+    GAPS = (0, 0, 1, 2, 3, 6, 12)  # inter-arrival ticks; zero is a tie
+
+    @staticmethod
+    def _outcome(run):
+        """Every ``FleetResult`` field, or the exception the run raised."""
+        try:
+            r = run()
+        except Exception as exc:  # both paths must fail the same way
+            return ("raised", type(exc).__name__, str(exc))
+        return (
+            r.responses.tobytes(), r.horizon, r.busy_time, r.served_per_replica,
+            r.batches_per_replica, r.unserved, r.busy_intervals,
+        )
+
+    @staticmethod
+    def _build_replica(grid, policy, max_batch, ticks, timeout_ticks):
+        occupancy = ticks[0] * grid
+        if policy == "adaptive":
+            curve = _LinearCurve(occupancy, ticks[1] * grid / 4, ticks[2] * grid)
+            batcher = SLOAdaptiveBatcher(
+                max(timeout_ticks, 1) * 4 * grid, curve, candidates=(1, 2, 4, 8)
+            )
+        else:
+            curve = ConstantCurve(occupancy, occupancy + ticks[2] * grid)
+            batcher = (
+                FixedBatcher(max_batch) if policy == "fixed"
+                else TimeoutBatcher(max_batch, timeout_ticks * grid)
+            )
+        return Replica(curve, batcher)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid=st.sampled_from(GRIDS),
+        policy=st.sampled_from(["fixed", "timeout", "adaptive"]),
+        shapes=st.lists(
+            st.tuples(
+                st.integers(1, 6),  # max batch
+                st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)),
+                st.integers(0, 5),  # timeout / SLO, in grid ticks (0 included)
+            ),
+            min_size=1, max_size=4,
+        ),
+        first=st.lists(st.sampled_from(GAPS), min_size=1, max_size=60),
+        second=st.lists(st.sampled_from(GAPS), min_size=1, max_size=30),
+        gap=st.one_of(st.none(), st.integers(-20, 10)),
+        drain=st.booleans(),
+        router_offset=st.integers(0, 7),
+        block=st.sampled_from([1, 2, 1024]),
+    )
+    # The server frees up exactly at the last instant, where two
+    # arrivals tie: the first must poll it idle before the drain does.
+    @example(
+        grid=2.0**-11, policy="timeout", shapes=[(6, (3, 0, 0), 0)], first=[0, 3, 0],
+        second=[0], gap=None, drain=True, router_offset=0, block=1024,
+    )
+    def test_round_robin_replay_matches_event_path(
+        self, grid, policy, shapes, first, second, gap, drain, router_offset, block
+    ):
+        """``fast=True`` replays round-robin fleets replica by replica;
+        every result field must equal the event path's.  ``gap`` adds a
+        second ``Fleet.run`` on the same fleet, whose router offset and
+        per-server ``free_at`` carry over (a negative gap overlaps the
+        first run's busy tail, which sends the run to the event path).
+        """
+        first_trace = np.cumsum(first, dtype=float) * grid
+
+        def run(fast):
+            fleet = Fleet(
+                [self._build_replica(grid, policy, *shape) for shape in shapes], "round_robin"
+            )
+            fleet.router._next = router_offset
+            replay = mock.patch.object(
+                FleetSim, "_replay_round_robin", autospec=True,
+                side_effect=FleetSim._replay_round_robin,
+            )
+            with mock.patch.object(fleet_module, "_FAST_DEFAULT", fast), mock.patch.object(
+                FleetSim, "_WRITE_BATCHES", block
+            ), replay as replayed:
+                outcomes = [self._outcome(lambda: fleet.run(first_trace, drain=drain))]
+                assert replayed.call_count == int(fast)
+                if gap is not None and outcomes[0][0] != "raised":
+                    start = outcomes[0][1] + gap * grid
+                    second_trace = start + np.cumsum(second, dtype=float) * grid
+                    outcomes.append(self._outcome(lambda: fleet.run(second_trace, drain=drain)))
+            return outcomes
+
+        assert run(True) == run(False)
+
+    def test_stale_deadline_timer_launches_in_the_rounding_corner(self):
+        """A deadline timer left by an earlier head still polls.  Here it
+        fires at ``fl(x + 0.1)``, before the new head's own deadline
+        ``fl(x' + 0.1)``, yet ``fl(t - x') >= 0.1`` -- so it launches, on
+        both paths."""
+        x = 0.0095
+        x_next = math.nextafter(x, math.inf)
+        assert x + 0.1 < x_next + 0.1 and (x + 0.1) - x_next >= 0.1
+        arrivals = np.array([x, x, x_next, 1.0])
+        runs = {}
+        for fast in (True, False):
+            replica = Replica(ConstantCurve(0.0), TimeoutBatcher(2, 0.1))
+            runs[fast] = FleetSim([replica], make_router("round_robin"), arrivals, fast=fast).run()
+        assert runs[True].busy_intervals == runs[False].busy_intervals
+        assert np.array_equal(runs[True].responses, runs[False].responses)
+        # The second batch starts at the stale timer, not the live one.
+        assert runs[True].busy_intervals[0][1][0] == x + 0.1
+
+    def test_fleet_runs_twice_on_carried_state(self):
+        """A second ``Fleet.run`` continues the router offset and server
+        clocks; the conservation check counts only its own requests."""
+        curve = ConstantCurve(1e-3)
+        fleet = Fleet([Replica(curve, TimeoutBatcher(4, 5e-4)) for _ in range(3)])
+        first = poisson_arrivals(rate=3000.0, n_requests=100, seed=1)
+        one = fleet.run(first)
+        two = fleet.run(one.horizon + poisson_arrivals(rate=3000.0, n_requests=50, seed=2))
+        assert fleet.router._next == 150
+        assert two.responses.size == 50 and np.all(two.responses > 0)
+        assert sum(two.served_per_replica) == 150  # server counters accumulate
+
+    @pytest.mark.parametrize("case", ["unsorted", "router", "batcher", "autoscaled"])
+    def test_replay_stays_off_outside_its_preconditions(self, case, monkeypatch):
+        def refuse(self):
+            raise AssertionError("round-robin replay engaged")
+
+        monkeypatch.setattr(FleetSim, "_replay_round_robin", refuse)
+        arrivals = poisson_arrivals(rate=3000.0, n_requests=300, seed=5)
+        curve = ConstantCurve(1e-3)
+        if case == "unsorted":
+            arrivals[[10, 11]] = arrivals[[11, 10]]
+            result = Fleet([Replica(curve, TimeoutBatcher(4, 5e-4))]).run(arrivals)
+        elif case == "router":
+            class Cycling(RoundRobinRouter):
+                pass
+
+            fleet = Fleet([Replica(curve, TimeoutBatcher(4, 5e-4)) for _ in range(2)], Cycling())
+            result = fleet.run(arrivals)
+        elif case == "batcher":
+            class Patient(TimeoutBatcher):
+                pass
+
+            result = Fleet([Replica(curve, Patient(4, 5e-4)) for _ in range(2)]).run(arrivals)
+        else:
+            from repro.datacenter.autoscaler import AutoscaleConfig, AutoscaledFleet, StaticPolicy
+
+            result = AutoscaledFleet(
+                lambda i: Replica(curve, TimeoutBatcher(4, 5e-4)), StaticPolicy(2),
+                AutoscaleConfig(control_interval_seconds=0.02, spinup_seconds=0.0),
+                replica_rps=4000.0, router="round_robin",
+            ).run(arrivals).fleet
+        assert result.responses.size == 300
 
     def test_closed_loop_fast_matches_reference(self):
         curve = ConstantCurve(occupancy_seconds=1e-3, latency_seconds=2e-3)
