@@ -19,8 +19,8 @@ Keys are content hashes of the platform's published spec and the model's
 structure, not object identities, so two independently built
 ``TPUPlatform()`` instances -- or a workload rebuilt from a JSON scenario
 round-trip -- share entries.  The cache is explicitly invalidatable (all
-entries, one platform, or one workload) and counts hits and misses so
-benchmarks can prove the fast path is engaged.
+entries, one platform, or one workload) and counts hits and misses,
+which the metrics registry publishes as ``perfcache.*``.
 
 Disable it with ``REPRO_PERFCACHE=0`` in the environment, the
 :func:`set_enabled` switch, or the :func:`disabled` context manager;
@@ -266,11 +266,6 @@ class PerfCache:
                 del self._entries[key]
             return len(doomed)
 
-    def reset_counters(self) -> None:
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(
@@ -343,11 +338,6 @@ class LoweringCache:
                 del self._entries[key]
             return len(doomed)
 
-    def reset_counters(self) -> None:
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(
@@ -366,10 +356,10 @@ def _collect_metrics() -> dict:
     """Publish the bespoke hit/miss counters through the metrics registry.
 
     Pull-based (:func:`repro.obs.register_collector`), so the cache's hot
-    lookup path stays untouched: snapshots read the same counters the
-    benchmarks already report, and ``repro.obs.metrics_snapshot()`` shows
-    them as ``perfcache.hits`` / ``perfcache.misses`` / ``perfcache.
-    entries`` / ``perfcache.hit_rate`` alongside every other metric.
+    lookup path stays untouched: snapshots read the cache's own counters,
+    and ``repro.obs.metrics_snapshot()`` shows them as ``perfcache.hits``
+    / ``perfcache.misses`` / ``perfcache.entries`` / ``perfcache.hit_rate``
+    alongside every other metric.
     """
     stats = GLOBAL.stats()
     return {

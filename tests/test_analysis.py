@@ -92,6 +92,19 @@ class TestRooflineFigures:
         assert results["figure6"].measured["ridge"] == pytest.approx(13, rel=0.05)
         assert results["figure7"].measured["ridge"] == pytest.approx(9, rel=0.05)
 
+    def test_app_points_bands(self, results):
+        # CNN0 nears the TPU's flat top while LSTM0 hugs the slanted
+        # ceiling.  On Haswell and the K80, response-time limits keep the
+        # apps under the fp32 peak -- except CNN0, whose 8-bit AVX2 and
+        # cuDNN implementations beat the direct-convolution op count.
+        tpu = results["figure5"].measured["points"]
+        assert tpu["cnn0"]["tops"] > 40
+        assert tpu["lstm0"]["tops"] < 10
+        for exp_id, ceiling in (("figure6", 1.4), ("figure7", 3.0)):
+            for app, point in results[exp_id].measured["points"].items():
+                if app != "cnn0":
+                    assert point["tops"] < ceiling, (exp_id, app)
+
     def test_all_tpu_stars_above_other_rooflines(self, results):
         assert results["figure8"].measured["tpu_stars_at_or_above_other_rooflines"]
 

@@ -206,3 +206,28 @@ class TestScenarioCLI:
             "report", str(tmp_path / "r.md"), "--only", "table99",
         ]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_report_rejects_nonpositive_jobs(self, tmp_path, capsys, jobs):
+        target = tmp_path / "r.md"
+        assert main(["report", str(target), "--jobs", jobs]) == 2
+        assert "report: --jobs must be >= 1" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--workload", "mlp0", "--platform", "cpu", "--requests", "300"],
+        ["llm", "--requests", "40", "--decode-tokens", "8"],
+    ])
+    def test_loads_skip_blanks_and_name_the_flag(self, command, capsys):
+        assert main([*command, "--loads", "0.5,,0.8,", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 2
+        assert main([*command, "--loads", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert f"{command[0]}: --loads" in err and "'abc'" in err

@@ -140,6 +140,13 @@ class TestStaticPartitionAllocator:
         with pytest.raises(UBOverflowError):
             StaticPartitionAllocator().allocate([Request("a", 3000, 0, 1)], 4096)
 
+    def test_deployed_vs_improved_allocator_on_mlp0(self, workloads, driver):
+        """Table 8's story: the deployed driver pins all 24 MiB for MLP0,
+        the liveness allocator needs under 14 MiB."""
+        static = TPUDriver(allocator=StaticPartitionAllocator())
+        assert static.compile(workloads["mlp0"]).ub_peak_bytes == 24 * MIB
+        assert driver.compile(workloads["mlp0"]).ub_peak_bytes < 14 * MIB
+
 
 class TestLowering:
     def test_program_structure_mlp(self, tiny_mlp):
@@ -204,6 +211,16 @@ class TestLowering:
         for name, model in workloads.items():
             compiled = driver.compile(model)
             assert compiled.ub_peak_bytes <= 24 * MIB
+
+    def test_fewer_accumulators_force_more_weight_reads(self, workloads):
+        """Smaller accumulators shrink conv row chunks, so CNN0 re-reads
+        its weights; the 4096-entry file's double buffering avoids that."""
+        traffic = [
+            TPUDriver(TPUConfig().scaled(accumulators=scale))
+            .compile(workloads["cnn0"]).weight_traffic_bytes
+            for scale in (0.25, 1.0, 4.0)
+        ]
+        assert traffic[0] > traffic[1] >= traffic[2]
 
     def test_weight_traffic_accounts_padded_tiles(self, tiny_mlp):
         compiled = TPUDriver().compile(tiny_mlp)

@@ -1,11 +1,13 @@
 """Device tests: functional equivalence and timing behaviour."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.compiler.driver import TPUDriver
 from repro.core.config import TPU_V1
-from repro.core.device import TPUDevice
+from repro.core.device import TPUDevice, _timing_plan_for
 from repro.nn.graph import Model
 from tests.conftest import functional_pair
 
@@ -91,6 +93,23 @@ class TestTimingBehaviour:
         fast_s = fast.profile(fast.compile(model)).seconds
         assert base_s / fast_s > 2.5
 
+    def test_four_deep_weight_fifo_is_ample(self, workloads):
+        """The DRAM stream is the bottleneck: depth 4 beats depth 1 and
+        deepening to 8 changes MLP0's batch time by under 5%."""
+        seconds = {}
+        for depth in (1, 4, 8):
+            drv = TPUDriver(replace(TPU_V1, weight_fifo_tiles=depth))
+            seconds[depth] = drv.profile(drv.compile(workloads["mlp0"])).seconds
+        assert seconds[4] <= seconds[1] * 1.01
+        assert abs(seconds[4] - seconds[8]) / seconds[4] < 0.05
+
+    def test_paper_programs_take_the_precomputed_plan(self, workloads, driver):
+        """The vectorized timing path is on by default (REPRO_DEVICE_FAST)."""
+        device = TPUDevice()
+        assert device.fast
+        compiled = driver.compile(workloads["mlp0"])
+        assert _timing_plan_for(compiled.program, device.config) is not None
+
     def test_faster_clock_barely_helps_mlp(self, workloads):
         fast = TPUDriver(TPU_V1.scaled(clock=4.0))
         base = TPUDriver()
@@ -161,3 +180,12 @@ class TestHostModel:
         compiled = driver.compile(workloads["mlp0"])
         ips = driver.ips(compiled, profiles["mlp0"])
         assert 120_000 < ips < 400_000
+
+    def test_host_overhead_limits_throughput(self, workloads):
+        """Table 4 note: max TPU throughput is limited by host overhead."""
+        ips = []
+        for factor in (0.5, 1.0, 2.0):
+            drv = TPUDriver(replace(TPU_V1, host_overhead_s=TPU_V1.host_overhead_s * factor))
+            compiled = drv.compile(workloads["mlp1"])
+            ips.append(drv.ips(compiled, drv.profile(compiled)))
+        assert ips[0] > ips[1] > ips[2]

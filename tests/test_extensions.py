@@ -39,6 +39,15 @@ class TestPrecisionModes:
         half = driver.profile(driver.compile(model, activation_bits=16))
         assert 1.3 < half.seconds / full.seconds < 2.6
 
+    def test_wider_operands_strictly_slower(self, workloads):
+        driver = TPUDriver()
+        model = workloads["cnn0"]
+        seconds = [
+            driver.profile(driver.compile(model, weight_bits=w, activation_bits=a)).seconds
+            for w, a in ((8, 8), (8, 16), (16, 16))
+        ]
+        assert seconds[0] < seconds[1] < seconds[2]
+
     def test_memory_bound_apps_barely_care(self, workloads):
         driver = TPUDriver()
         model = workloads["mlp1"]

@@ -183,6 +183,11 @@ class TestProgram:
         program = self._program()
         assert program.binary() == encode_program(list(SAMPLE_INSTRUCTIONS))
 
+    def test_compiled_program_round_trips(self, workloads, driver):
+        program = driver.compile(workloads["mlp1"]).program
+        decoded = decode_program(encode_program(decode_program(program.binary())))
+        assert decoded == list(program.instructions)
+
     def test_tile_spec_validates(self):
         with pytest.raises(ValueError):
             TileSpec(0, 4, 4, np.zeros((3, 4), dtype=np.int8))

@@ -17,6 +17,10 @@ from repro.power.proportionality import (
 
 
 class TestQueueSim:
+    def test_every_request_completes(self):
+        stats = simulate_batch_queue(5000.0, 16, 2e-3, n_requests=20000)
+        assert stats.completed == 20000
+
     def test_p99_at_least_service(self):
         stats = simulate_batch_queue(1000.0, 16, 2e-3, n_requests=5000)
         assert stats.p99_seconds >= 2e-3
