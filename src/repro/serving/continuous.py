@@ -23,6 +23,12 @@ see ``transformer_roofline``) punish it most.  This module schedules at
   decode pool joined by a KV transfer hop, each pool optionally driven
   by its own autoscaler (:mod:`repro.datacenter.llm_pools`).
 
+An iteration costs O(1) in the batch size: each decode chip records one
+end time per iteration, a running request keeps only where it joined
+that timeline and where it will finish, and its tokens are timeline
+slices assembled once, when the run ends.  The run ends at the last
+completion.
+
 The scheduler is validated against an independently written per-request
 event simulation (:mod:`repro.serving.llm_reference`) within
 :data:`LLM_VALIDATION_RTOL`, mirroring the hybrid-vs-exact pattern of
@@ -32,8 +38,10 @@ event simulation (:mod:`repro.serving.llm_reference`) within
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -141,12 +149,20 @@ def fleet_capacity_tokens_per_s(
 
 
 class _LLMRequest:
-    """Mutable per-request record inside one simulation run."""
+    """Mutable per-request record inside one simulation run.
+
+    A running request holds no per-token state.  It joined its chip's
+    running set at chip iteration ``join`` with ``need`` cached tokens and
+    finishes at iteration ``done_at``; at the start of chip iteration
+    ``k`` its cache holds ``need + k - join + 1`` tokens (this iteration's
+    growth included), and its tokens so far are the chip timeline's
+    entries ``[join, k)``.  ``emitted`` counts the tokens of closed stints
+    only, which is all a queued request needs to rebuild its cache.
+    """
 
     __slots__ = (
         "index", "arrival", "prompt", "decode",
-        "emitted", "kv", "prefills", "evictions",
-        "first_token", "finish", "token_times",
+        "emitted", "prefills", "evictions", "join", "need", "done_at",
     )
 
     def __init__(self, index: int, arrival: float, prompt: int, decode: int):
@@ -155,20 +171,27 @@ class _LLMRequest:
         self.prompt = prompt
         self.decode = decode
         self.emitted = 0
-        self.kv = 0
         self.prefills = 0
         self.evictions = 0
-        self.first_token = math.nan
-        self.finish = math.nan
-        self.token_times: list[float] = []
+        self.join = 0
+        self.need = 0
+        self.done_at = 0
 
 
 class _Chip:
-    """One accelerator in a pool: running set, KV ledger, power state."""
+    """One accelerator in a pool: running set, KV ledger, power state.
+
+    A decode chip also keeps its token timeline: ``times[k]`` is the end
+    time of its iteration ``k``, when every member of that iteration's
+    running set emitted one token.  ``next_done`` is the earliest
+    ``done_at`` in the running set, so retirement is only looked for on
+    the iterations where some member finishes.
+    """
 
     __slots__ = (
         "index", "running", "kv_used", "idle", "enabled", "spinning",
         "busy_seconds", "powered_since", "powered_seconds",
+        "times", "next_done", "end_iteration",
     )
 
     def __init__(self, index: int, enabled: bool):
@@ -181,6 +204,9 @@ class _Chip:
         self.busy_seconds = 0.0
         self.powered_since: float | None = 0.0 if enabled else None
         self.powered_seconds = 0.0
+        self.times = array("d")
+        self.next_done = math.inf
+        self.end_iteration = None
 
     def power_off(self, now: float) -> None:
         if self.powered_since is not None:
@@ -238,6 +264,48 @@ class LLMRunResult:
     prefill_chip_seconds: float
 
 
+def _stint_token_times(
+    timelines: list[array],
+    owner: np.ndarray,
+    chip_of: np.ndarray,
+    join: np.ndarray,
+    length: np.ndarray,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-token times, finish times and token intervals from stints.
+
+    The stints arrive sorted by request and, within one, in the order
+    they closed; each is the slice ``[join, join + length)`` of its chip's
+    timeline.  A request's token intervals are its stints' timeline steps
+    plus, before each stint after the first, the gap its eviction cost --
+    element for element ``np.diff`` of its concatenated token times, but
+    built from views of one ``np.diff`` per run, so no per-token array
+    is ever materialized besides the result.
+    """
+    base = np.cumsum([0] + [len(t) for t in timelines[:-1]])
+    timeline = np.concatenate([np.frombuffer(times) for times in timelines])
+    first = base[chip_of] + join  # flat index of each stint's first token
+    last = first + length - 1
+    rows = np.arange(n)
+    first_token = timeline[first[np.searchsorted(owner, rows)]]
+    finish = timeline[last[np.searchsorted(owner, rows, side="right") - 1]]
+    steps = np.diff(timeline)
+    resumed = np.zeros(owner.size, dtype=bool)
+    resumed[1:] = owner[1:] == owner[:-1]
+    gaps = timeline[first[resumed]] - timeline[last[:-1][resumed[1:]]]
+    pieces = []
+    g = 0
+    for lo, hi, after_eviction in zip(
+        first.tolist(), last.tolist(), resumed.tolist()
+    ):
+        if after_eviction:
+            pieces.append(gaps[g:g + 1])
+            g += 1
+        pieces.append(steps[lo:hi])
+    intervals = np.concatenate(pieces) if pieces else np.empty(0)
+    return first_token, finish, intervals
+
+
 class ContinuousBatchingSim:
     """The iteration-level engine (both schedulers, both fleet modes)."""
 
@@ -273,8 +341,14 @@ class ContinuousBatchingSim:
         self.kv_peak = 0
         self.decode_queue: deque[int] = deque()
         self.prefill_queue: deque[int] = deque()
+        #: Closed stints, flat ``(request, chip, join, tokens)`` quadruples,
+        #: one per stay in a running set; the request's tokens in it are
+        #: the chip timeline slice ``[join, join + tokens)``.
+        self.stints = array("q")
         disagg = cfg.mode == "disaggregated"
         self.decode_pool = _Pool("decode", cfg.chips, cfg.decode_controller)
+        for chip in self.decode_pool.chips:
+            chip.end_iteration = partial(self._end_iteration, chip)
         self.prefill_pool = (
             _Pool("prefill", cfg.prefill_chips, cfg.prefill_controller)
             if disagg else None
@@ -307,31 +381,38 @@ class ContinuousBatchingSim:
         for pool in self._pools():
             for chip in pool.chips:
                 chip.power_off(horizon)
-        intervals: list[np.ndarray] = []
-        for req in self.requests:
-            if req.emitted != req.decode:
-                raise RuntimeError(
-                    f"token conservation violated: request {req.index} "
-                    f"emitted {req.emitted} of {req.decode} tokens"
-                )
-            times = np.asarray(req.token_times)
-            if times.size > 1:
-                intervals.append(np.diff(times))
+        decodes = np.array([r.decode for r in self.requests])
+        stints = np.frombuffer(self.stints, dtype=np.int64).reshape(-1, 4)
+        # Stable by request: each request's stints stay in the order they
+        # closed, which is the order its tokens were emitted.
+        owner, chip_of, join, length = stints[
+            np.argsort(stints[:, 0], kind="stable")
+        ].T
+        emitted = np.bincount(owner, weights=length, minlength=self.n).astype(np.int64)
+        short = np.flatnonzero(emitted != decodes)
+        if short.size:
+            i = int(short[0])
+            raise RuntimeError(
+                f"token conservation violated: request {i} "
+                f"emitted {emitted[i]} of {decodes[i]} tokens"
+            )
+        first_token, finish, intervals = _stint_token_times(
+            [c.times for c in self.decode_pool.chips],
+            owner, chip_of, join, length, self.n,
+        )
         prefill_pool = self.prefill_pool
         return LLMRunResult(
             arrivals=np.array([r.arrival for r in self.requests]),
             prompts=np.array([r.prompt for r in self.requests]),
-            decodes=np.array([r.decode for r in self.requests]),
-            first_token=np.array([r.first_token for r in self.requests]),
-            finish=np.array([r.finish for r in self.requests]),
-            emitted=np.array([r.emitted for r in self.requests]),
+            decodes=decodes,
+            first_token=first_token,
+            finish=finish,
+            emitted=emitted,
             prefills=np.array([r.prefills for r in self.requests]),
             evictions_per_request=np.array(
                 [r.evictions for r in self.requests]
             ),
-            tpot_intervals=(
-                np.concatenate(intervals) if intervals else np.empty(0)
-            ),
+            tpot_intervals=intervals,
             horizon=horizon,
             tokens=self.tokens,
             iterations=self.iterations,
@@ -388,9 +469,16 @@ class ContinuousBatchingSim:
 
     # -- decode pool ----------------------------------------------------
 
+    def _close_stint(self, req: _LLMRequest, chip: _Chip, tokens: int) -> None:
+        # Every stint holds a token: admission reserves its iteration's
+        # growth, so no request is evicted in the iteration it joined.
+        req.emitted += tokens
+        self.stints.extend((req.index, chip.index, req.join, tokens))
+
     def _start_iteration(self, chip: _Chip, now: float) -> None:
         cfg = self.cfg
         run = chip.running
+        k = len(chip.times)
         inline_prefill_macs = 0
         admit = chip.enabled and (cfg.scheduler == "continuous" or not run)
         while admit and self.decode_queue and len(run) < cfg.max_batch:
@@ -401,7 +489,11 @@ class ContinuousBatchingSim:
             if chip.kv_used + need + len(run) + 1 > cfg.kv_capacity:
                 break
             self.decode_queue.popleft()
-            req.kv = need
+            req.join = k
+            req.need = need
+            req.done_at = k + req.decode - req.emitted - 1
+            if req.done_at < chip.next_done:
+                chip.next_done = req.done_at
             chip.kv_used += need
             run.append(req.index)
             if self.prefill_pool is None:
@@ -410,13 +502,12 @@ class ContinuousBatchingSim:
                 req.prefills += 1
                 inline_prefill_macs += self.timing.prefill_macs(need)
         evicted = False
-        for index in run:
-            self.requests[index].kv += 1
+        # Every running request caches one more token this iteration.
         chip.kv_used += len(run)
         while chip.kv_used > cfg.kv_capacity:
             victim = self.requests[run.pop()]
-            chip.kv_used -= victim.kv
-            victim.kv = 0
+            chip.kv_used -= victim.need + k - victim.join + 1
+            self._close_stint(victim, chip, k - victim.join)
             victim.evictions += 1
             self.evictions += 1
             evicted = True
@@ -424,6 +515,10 @@ class ContinuousBatchingSim:
                 self.prefill_queue.appendleft(victim.index)
             else:
                 self.decode_queue.appendleft(victim.index)
+        if evicted:
+            chip.next_done = min(
+                (self.requests[i].done_at for i in run), default=math.inf
+            )
         if not run:
             if evicted and self.prefill_pool is None and self.decode_queue:
                 # Everything was evicted; retry admission on the now-empty
@@ -451,7 +546,7 @@ class ContinuousBatchingSim:
         if self._observe:
             if obs.TRACER.enabled:
                 obs.TRACER.sim_span(
-                    f"iter b{active}", now, step, cat="llm",
+                    "iter", now, step, cat="llm",
                     tid=chip.index, batch=active, kv=chip.kv_used,
                 )
             if obs.REGISTRY.enabled:
@@ -461,36 +556,43 @@ class ContinuousBatchingSim:
                     chip.kv_used / cfg.kv_capacity
                 )
                 obs.histogram("llm.iteration_batch").observe(active)
-        self.loop.schedule(
-            now + step, lambda t, c=chip: self._end_iteration(c, t)
-        )
+        self.loop.schedule(now + step, chip.end_iteration)
         if evicted and self.prefill_pool is not None:
             self._kick_prefill(now)
 
     def _end_iteration(self, chip: _Chip, now: float) -> None:
-        finished = []
-        for index in chip.running:
-            req = self.requests[index]
-            req.emitted += 1
-            self.tokens += 1
-            if math.isnan(req.first_token):
-                req.first_token = now
-            req.token_times.append(now)
-            if req.emitted == req.decode:
-                finished.append(index)
+        k = len(chip.times)
+        chip.times.append(now)
+        self.tokens += len(chip.running)
         if obs.REGISTRY.enabled:
             obs.counter("llm.tokens").inc(len(chip.running))
-        for index in finished:
-            req = self.requests[index]
-            req.finish = now
-            chip.kv_used -= req.kv
-            req.kv = 0
-            chip.running.remove(index)
-            self.completed += 1
+        if k == chip.next_done:
+            self._retire(chip, k)
         self._start_iteration(chip, now)
         # An eviction or retirement may have left work for idle peers.
         if self.decode_queue:
             self._kick_decode(now)
+        if self.completed == self.n:
+            # The run ends at its last completion: pending control ticks
+            # and spin-ups would only bill chip time nobody used.
+            self.loop.stop()
+
+    def _retire(self, chip: _Chip, k: int) -> None:
+        """Retire the members that emitted their last token in iteration ``k``."""
+        keep = []
+        next_done = math.inf
+        for index in chip.running:
+            req = self.requests[index]
+            if req.done_at == k:
+                chip.kv_used -= req.need + k - req.join + 1
+                self._close_stint(req, chip, k - req.join + 1)
+                self.completed += 1
+            else:
+                keep.append(index)
+                if req.done_at < next_done:
+                    next_done = req.done_at
+        chip.running = keep
+        chip.next_done = next_done
 
     # -- prefill pool (disaggregated mode) -------------------------------
 
@@ -526,7 +628,7 @@ class ContinuousBatchingSim:
         if self._observe:
             if obs.TRACER.enabled:
                 obs.TRACER.sim_span(
-                    f"prefill b{len(taken)}", now, step, cat="llm",
+                    "prefill", now, step, cat="llm",
                     tid=1000 + chip.index, batch=len(taken), kv=kv_sum,
                 )
             if obs.REGISTRY.enabled:

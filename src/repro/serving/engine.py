@@ -60,6 +60,11 @@ class EventLoop:
             self.now = when
             callback(when)
 
+    def stop(self) -> None:
+        """Drop every pending event: :meth:`run` returns once the current
+        callback does, with ``now`` left at that callback's time."""
+        self._heap.clear()
+
 
 @dataclass
 class Request:
