@@ -19,16 +19,20 @@ Every cycle of the run is attributed to exactly one Table 3 category:
 * **non-matrix** -- everything else (activation, pooling, reformatting,
   DMA, sync), with RAW-hazard and PCIe-input waits recorded as the
   overlapping sub-counters of rows 7-8.
+
+There is one timing engine: a per-program timing plan, built once and
+cached on the program, replayed over the engine clocks.  A functional
+run is that replay followed by a data-only walk over the same stream.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +43,6 @@ from repro.core.config import TPUConfig, TPU_V1
 from repro.core.counters import CounterBank, CycleBreakdown
 from repro.core.dma import DMAEngine
 from repro.core.matrix_unit import MatrixUnit, speed_factor
-from repro.core.weight_fifo import WeightFIFO
 from repro.core.weight_memory import WeightMemory
 from repro.isa.instructions import (
     Activate,
@@ -66,12 +69,6 @@ from repro.nn.reference import im2col, max_pool
 ROW_BYTES = 256
 SETUP_BASE = 0x800000
 SETUP_BANK_STRIDE = 1 << 22
-
-#: Timing-mode fast path (precomputed per-program plan + batched counter
-#: accounting).  Bit-identical to the reference loop; ``REPRO_DEVICE_FAST=0``
-#: forces the reference path for cross-checking.
-_FAST_DEFAULT = os.environ.get("REPRO_DEVICE_FAST", "1") != "0"
-
 
 @dataclass(frozen=True)
 class ExecutionResult:
@@ -116,7 +113,6 @@ class TPUDevice:
         config: TPUConfig = TPU_V1,
         functional: bool = False,
         activation_mode: str = "exact",
-        fast: bool | None = None,
     ) -> None:
         if config.matrix_dim != ROW_BYTES:
             raise NotImplementedError(
@@ -125,7 +121,6 @@ class TPUDevice:
             )
         self.config = config
         self.functional = functional
-        self.fast = _FAST_DEFAULT if fast is None else fast
         self.activation_unit = ActivationUnit(config.activation_lanes, mode=activation_mode)
         self.dma = DMAEngine(config.pcie_bandwidth)
 
@@ -137,6 +132,8 @@ class TPUDevice:
         codes shaped (batch, *input_shape); the result carries the output
         codes.  In timing mode data is ignored entirely.
         """
+        if self.functional:
+            _check_host_input(program, host_input)
         runner = _Run(self, program, host_input)
         if not (obs.TRACER.enabled or obs.REGISTRY.enabled):
             return runner.execute()
@@ -165,7 +162,6 @@ def _record_run(device: "TPUDevice", result: ExecutionResult, wall_s: float) -> 
             sim_ms=result.seconds * 1e3,
             mxu_active_frac=round(b.active_fraction, 4),
             functional=device.functional,
-            fast=device.fast,
         )
     if obs.REGISTRY.enabled:
         obs.counter("device.runs").inc()
@@ -190,18 +186,61 @@ def _record_run(device: "TPUDevice", result: ExecutionResult, wall_s: float) -> 
                 obs.counter(metric).inc(value)
 
 
+def _check_host_input(program: TPUProgram, host_input: np.ndarray | None) -> None:
+    """A functional run needs exactly one input example per batch slot.
+
+    Programs the compiler built declare their input shape; hand-assembled
+    ones declare none and are not checked.
+    """
+    input_shape = program.metadata.get("input_shape")
+    if input_shape is None:
+        return
+    expected = (program.batch_size, *input_shape)
+    given = None if host_input is None else tuple(np.shape(host_input))
+    if given != expected:
+        raise ValueError(
+            f"{program.name}: functional run needs host_input of shape {expected}, "
+            f"got {'none' if given is None else given}"
+        )
+
+
 # ----------------------------------------------------------------------
-# timing-mode fast path
+# the timing plan
 # ----------------------------------------------------------------------
 # Everything about an instruction that does not depend on the schedule --
 # its engine, duration, weight-tile pairing, and counter increments -- is
 # fixed at compile time.  The plan hoists all of it out of the run loop in
 # one pass per program: per-instruction accounting is batched onto numpy
-# arrays and reduced once (integer sums are exact, so the totals are
-# bit-identical to the reference loop's one-at-a-time adds), and the run
-# loop that remains touches only the scoreboard and engine clocks.
+# arrays and reduced once (integer sums are exact, so the totals equal
+# one-at-a-time adds), and the replay loop that remains touches only the
+# scoreboard and engine clocks.  The frozen per-instruction loop this
+# replaced is the oracle in ``tests/oracles/device_reference.py``.
 
 _OP_RW, _OP_MM, _OP_ACT, _OP_VEC, _OP_DIN, _OP_DOUT, _OP_SYNC, _OP_CTRL = range(8)
+
+
+class _SerialDep(NamedTuple):
+    reads: tuple[int, ...]
+    writes: tuple[int, ...]
+    war: tuple[int, ...]
+
+
+def _serial_deps(program: TPUProgram) -> list[_SerialDep]:
+    """Dependency tokens for a program without the compiler's sidecar.
+
+    Instruction ``i`` writes token ``i``.  Every instruction but a
+    Read_Weights (a fetch that touches no Unified Buffer state) reads and
+    WAR-waits on its predecessor's token, so each engine that honours
+    tokens waits for the instruction before it.
+    """
+    deps = []
+    for index, instr in enumerate(program.instructions):
+        prev = (index - 1,) if index else ()
+        if isinstance(instr, ReadWeights):
+            deps.append(_SerialDep((), (index,), ()))
+        else:
+            deps.append(_SerialDep(prev, (index,), prev))
+    return deps
 
 
 @dataclass
@@ -214,12 +253,11 @@ class _TimingPlan:
     useful: float
 
 
-def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | None:
-    """One static pass over the instruction stream; None = use the
-    reference loop (missing dependency sidecar or a malformed stream)."""
+def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan:
+    """One static pass over the instruction stream (raises on a malformed one)."""
     deps = program.metadata.get("deps")
     if deps is None:
-        return None
+        deps = _serial_deps(program)
     tile_load_cycles = config.tile_load_cycles()
     tile_bytes = config.tile_bytes
     lanes = config.activation_lanes
@@ -240,12 +278,13 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | 
     dout_bytes: list[int] = []
     n_issued = n_sync = n_nop = n_activate = 0
     # Ordered float accumulation (fill-weighted active time and DMA cycle
-    # conversions are not integers, so addition order must match the
-    # reference loop exactly).
+    # conversions are not integers, so they add in program order).  The
+    # DMA totals start as int 0 like the counter they feed: a stream
+    # without DMA leaves that counter an int.
     active = 0.0
     useful = 0.0
-    din_cycles = 0.0
-    dout_cycles = 0.0
+    din_cycles = 0
+    dout_cycles = 0
     pool_config: dict[str, int] | None = None
     fifo_ids: deque[int] = deque()
 
@@ -267,7 +306,9 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | 
             spec = None
             if instr.load_new_tile:
                 if not fifo_ids:
-                    return None  # reference loop raises the real error
+                    raise RuntimeError(
+                        "MatrixMultiply with load_new_tile but empty Weight FIFO"
+                    )
                 spec = program.tiles[fifo_ids.popleft()]
             duration = instr.rows * speed_factor(
                 instr.weight_bits, instr.activation_bits
@@ -321,7 +362,7 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | 
         elif isinstance(instr, Halt):
             break
         else:
-            return None
+            raise TypeError(f"device cannot execute {type(instr)!r}")
 
     def isum(values: list[int]) -> int:
         return int(np.asarray(values, dtype=np.int64).sum()) if values else 0
@@ -351,13 +392,16 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | 
     ]
     return _TimingPlan(
         ops=ops,
-        counter_totals=[(name, value) for name, value in totals if value],
+        # A zero-byte DMA still makes its cycle counter a float 0.0.
+        counter_totals=[
+            (name, value) for name, value in totals if value or isinstance(value, float)
+        ],
         active=active,
         useful=useful,
     )
 
 
-def _timing_plan_for(program: TPUProgram, config: TPUConfig) -> _TimingPlan | None:
+def _timing_plan_for(program: TPUProgram, config: TPUConfig) -> _TimingPlan:
     """The program's cached plan (keyed by config, since durations derive
     from it).  Stored as a plain attribute: it must never leak into the
     program's dataclass fields, equality, or serialized binary."""
@@ -370,79 +414,45 @@ def _timing_plan_for(program: TPUProgram, config: TPUConfig) -> _TimingPlan | No
 
 
 class _Run:
-    """Single-program execution state (timing + optional functional)."""
+    """Single-program execution: the timing replay, then (functional mode
+    only) a walk that moves the data through the same instruction stream."""
 
     def __init__(self, device: TPUDevice, program: TPUProgram, host_input: np.ndarray | None) -> None:
         self.device = device
         self.config = device.config
         self.program = program
-        self.functional = device.functional
         self.host_input = host_input
         self.counters = CounterBank()
-        clock = self.config.clock_hz
-        self.cycles_per_second = clock
-        # -- engines -------------------------------------------------------
-        self.unit_free = {
-            "matrix": 0.0,
-            "vector": 0.0,
-            "setup": 0.0,  # the floorplan's Systolic Data Setup block
-            "dma_in": 0.0,
-            "dma_out": 0.0,
-            "dram": 0.0,
-            "control": 0.0,
-        }
-        # -- scoreboard ------------------------------------------------------
-        self.token_write: dict[int, tuple[float, str]] = {}
-        self.token_read: dict[int, float] = {}
-        deps = program.metadata.get("deps")
-        self.deps = deps if deps is not None else None
-        # -- weight path ------------------------------------------------------
-        self.fifo_depth = self.config.weight_fifo_tiles
-        self.tile_load_cycles = self.config.tile_load_cycles()
-        self.ready_queue: deque[tuple[int, float]] = deque()  # (tile_id, ready)
-        self.pop_times: list[float] = []
-        self.push_count = 0
-        self.prev_mm_start = 0.0
-        # -- stall accounting --------------------------------------------------
-        self.active = 0.0
-        self.useful = 0.0
-        self.weight_stall = 0.0
-        self.weight_shift = 0.0
-        self.raw_stall = 0.0
-        self.input_stall = 0.0
-        # -- functional state ----------------------------------------------------
-        self.tensors: list[_Tensor] = []
-        self.tensor_bases: list[int] = []
-        self.setup: dict[int, np.ndarray] = {}
-        self.cell_state: dict[int, np.ndarray] = {}
-        self.pool_config: dict[str, int] | None = None
-        self.conv_config: dict[str, int] | None = None
         self.output: np.ndarray | None = None
-        self.weight_memory: WeightMemory | None = None
-        self.fifo_data = WeightFIFO(self.fifo_depth)
-        self.matrix_unit = MatrixUnit(self.config)
-        self.acc = AccumulatorFile(self.config.accumulator_rows, self.config.matrix_dim)
-        self._last_serial_token = -1  # fallback chaining when deps missing
-        self._init_memory()
+        if device.functional:
+            self._init_memory()
 
     # ------------------------------------------------------------------
     def _init_memory(self) -> None:
+        """The functional state: UB tensors, setup banks, accumulators,
+        the matrix unit and Weight Memory loaded with the program's tiles."""
         table = self.program.metadata.get("tensors", {})
+        self.tensors: list[_Tensor] = []
         for name, (base_row, rows, width) in sorted(table.items(), key=lambda kv: kv[1][0]):
             self.tensors.append(_Tensor(base_row, rows, width))
         self.tensors.sort(key=lambda t: t.base_row)
         self.tensor_bases = [t.base_row for t in self.tensors]
-        if self.functional:
-            self.weight_memory = WeightMemory(
-                self.config.weight_dram_bytes, self.config.weight_bandwidth
-            )
-            for tile_id, spec in self.program.tiles.items():
-                if spec.data is None:
-                    raise ValueError(
-                        f"tile {tile_id} carries no data; compile with "
-                        f"quantized parameters for functional runs"
-                    )
-                self.weight_memory.store_tile(tile_id, spec.data)
+        self.setup: dict[int, np.ndarray] = {}
+        self.cell_state: dict[int, np.ndarray] = {}
+        self.pool_config: dict[str, int] | None = None
+        self.conv_config: dict[str, int] | None = None
+        self.matrix_unit = MatrixUnit(self.config)
+        self.acc = AccumulatorFile(self.config.accumulator_rows, self.config.matrix_dim)
+        self.weight_memory = WeightMemory(
+            self.config.weight_dram_bytes, self.config.weight_bandwidth
+        )
+        for tile_id, spec in self.program.tiles.items():
+            if spec.data is None:
+                raise ValueError(
+                    f"tile {tile_id} carries no data; compile with "
+                    f"quantized parameters for functional runs"
+                )
+            self.weight_memory.store_tile(tile_id, spec.data)
 
     def _find_tensor(self, row: int) -> tuple[_Tensor, int]:
         idx = bisect_right(self.tensor_bases, row) - 1
@@ -460,120 +470,28 @@ class _Run:
         return tensor.data
 
     # ------------------------------------------------------------------
-    # scoreboard helpers
-    # ------------------------------------------------------------------
-    def _dep_times(self, index: int) -> tuple[float, str, float]:
-        """(read-ready time, binding unit, WAR/WAW-ready time)."""
-        if self.deps is None:
-            # Sequential fallback for hand-assembled programs.
-            prev = self.token_write.get(self._last_serial_token, (0.0, "control"))
-            return prev[0], prev[1], prev[0]
-        dep = self.deps[index]
-        ready, unit = 0.0, "control"
-        for token in dep.reads:
-            t, u = self.token_write.get(token, (0.0, "control"))
-            if t > ready:
-                ready, unit = t, u
-        war_ready = 0.0
-        for token in dep.war:
-            t, _u = self.token_write.get(token, (0.0, "control"))
-            war_ready = max(war_ready, t, self.token_read.get(token, 0.0))
-        return ready, unit, war_ready
-
-    def _commit(self, index: int, end: float, unit: str) -> None:
-        if self.deps is None:
-            self._last_serial_token = index
-            self.token_write[index] = (end, unit)
-            return
-        dep = self.deps[index]
-        for token in dep.writes:
-            self.token_write[token] = (end, unit)
-        for token in dep.reads:
-            if self.token_read.get(token, 0.0) < end:
-                self.token_read[token] = end
-
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
     def execute(self) -> ExecutionResult:
-        if not self.functional and self.device.fast and self.deps is not None:
-            plan = _timing_plan_for(self.program, self.config)
-            if plan is not None:
-                return self._execute_fast(plan)
-        bank = self.counters
-        for index, instr in enumerate(self.program.instructions):
-            bank.add("instructions_issued", 1)
-            if isinstance(instr, ReadWeights):
-                self._exec_read_weights(index, instr)
-            elif isinstance(instr, MatrixMultiply):
-                self._exec_matmul(index, instr)
-            elif isinstance(instr, Activate):
-                self._exec_activate(index, instr)
-            elif isinstance(instr, VectorInstruction):
-                self._exec_vector(index, instr)
-            elif isinstance(instr, ReadHostMemory):
-                self._exec_dma_in(index, instr)
-            elif isinstance(instr, WriteHostMemory):
-                self._exec_dma_out(index, instr)
-            elif isinstance(instr, Configure):
-                self._exec_configure(index, instr)
-            elif isinstance(instr, (Sync, SyncHost)):
-                barrier = max(self.unit_free.values())
-                self.unit_free["control"] = barrier
-                bank.add("sync_instructions", 1)
-                self._commit(index, barrier, "control")
-            elif isinstance(instr, (DebugTag, Nop, InterruptHost)):
-                start = self.unit_free["control"]
-                self.unit_free["control"] = start + 1
-                if isinstance(instr, Nop):
-                    bank.add("nop_instructions", 1)
-                self._commit(index, start + 1, "control")
-            elif isinstance(instr, Halt):
-                break
-            else:
-                raise TypeError(f"device cannot execute {type(instr)!r}")
-
-        total = max(self.unit_free.values())
-        total = max(total, 1.0)
-        bank.add("total_cycles", total)
-        bank.add("array_active_cycles", self.active)
-        bank.add("useful_mac_cycles", self.useful)
-        bank.add("weight_stall_cycles", self.weight_stall)
-        bank.add("weight_shift_cycles", self.weight_shift)
-        non_matrix = max(total - self.active - self.weight_stall - self.weight_shift, 0.0)
-        bank.add("non_matrix_cycles", non_matrix)
-        bank.add("raw_stall_cycles", min(self.raw_stall, non_matrix))
-        bank.add("input_stall_cycles", min(self.input_stall, non_matrix))
-        bank.add("batches_completed", 1)
-        breakdown = CycleBreakdown(
-            total=total,
-            active=self.active,
-            weight_stall=self.weight_stall,
-            weight_shift=self.weight_shift,
-            non_matrix=non_matrix,
-            useful_mac_weighted=min(self.useful, self.active),
-            raw_stall=min(self.raw_stall, non_matrix),
-            input_stall=min(self.input_stall, non_matrix),
-        )
+        breakdown = self._replay(_timing_plan_for(self.program, self.config))
+        if self.device.functional:
+            self._walk_data()
         return ExecutionResult(
             program_name=self.program.name,
             batch_size=self.program.batch_size,
-            cycles=total,
-            seconds=total / self.cycles_per_second,
+            cycles=breakdown.total,
+            seconds=breakdown.total / self.config.clock_hz,
             breakdown=breakdown,
-            counters=bank.snapshot(),
+            counters=self.counters.snapshot(),
             output=self.output,
         )
 
     # ------------------------------------------------------------------
-    # fast path: plan-driven scheduler
+    # timing: plan-driven scheduler
     # ------------------------------------------------------------------
-    def _execute_fast(self, plan: _TimingPlan) -> ExecutionResult:
-        """The reference loop with every static quantity precomputed.
+    def _replay(self, plan: _TimingPlan) -> CycleBreakdown:
+        """Schedule the plan's ops on the engine clocks; returns the Table 3
+        breakdown and adds the run's counters to the bank.
 
-        Only the scoreboard and per-engine clocks remain per-instruction;
-        every arithmetic expression matches the reference methods term for
-        term, so cycle counts and stall attribution are bit-identical.
+        Only the scoreboard and per-engine clocks remain per-instruction.
         """
         token_write: dict[int, tuple[float, str]] = {}
         token_read: dict[int, float] = {}
@@ -585,10 +503,10 @@ class _Run:
         push_count = 0
         prev_mm_start = 0.0
         weight_stall = weight_shift = raw_stall = input_stall = 0.0
-        fifo_depth = self.fifo_depth
+        fifo_depth = self.config.weight_fifo_tiles
         shift_cycles = self.config.weight_shift_cycles
         dma = self.device.dma
-        clock = self.cycles_per_second
+        clock = self.config.clock_hz
 
         for op in plan.ops:
             code = op[0]
@@ -763,7 +681,7 @@ class _Run:
         bank.add("raw_stall_cycles", min(raw_stall, non_matrix))
         bank.add("input_stall_cycles", min(input_stall, non_matrix))
         bank.add("batches_completed", 1)
-        breakdown = CycleBreakdown(
+        return CycleBreakdown(
             total=total,
             active=active,
             weight_stall=weight_stall,
@@ -773,113 +691,44 @@ class _Run:
             raw_stall=min(raw_stall, non_matrix),
             input_stall=min(input_stall, non_matrix),
         )
-        return ExecutionResult(
-            program_name=self.program.name,
-            batch_size=self.program.batch_size,
-            cycles=total,
-            seconds=total / self.cycles_per_second,
-            breakdown=breakdown,
-            counters=bank.snapshot(),
-            output=None,
-        )
 
     # ------------------------------------------------------------------
-    # engines
+    # functional: the data walk
     # ------------------------------------------------------------------
-    def _exec_read_weights(self, index: int, instr: ReadWeights) -> None:
-        slot_free = 0.0
-        if self.push_count >= self.fifo_depth:
-            pop_index = self.push_count - self.fifo_depth
-            if pop_index < len(self.pop_times):
-                slot_free = self.pop_times[pop_index]
-            else:
-                # The consuming matmul has not been issued yet (should not
-                # happen with compiler-ordered streams); fall back to the
-                # last known matrix time.
-                slot_free = self.unit_free["matrix"]
-        # Static weight tiles stream the full padded tile; dynamic tiles
-        # (attention K^T/V staged through Weight Memory) move only their
-        # packed bytes, and must wait for the activations they stage.
-        spec = self.program.tiles.get(instr.tile_id)
-        if spec is not None and spec.dynamic:
-            nbytes = spec.rows * spec.cols
-            load_cycles = self.tile_load_cycles * nbytes / self.config.tile_bytes
-        else:
-            nbytes = self.config.tile_bytes
-            load_cycles = self.tile_load_cycles
-        dep_ready = 0.0
-        if self.deps is not None:
-            dep_ready, _unit, _war = self._dep_times(index)
-        start = max(self.unit_free["dram"], slot_free, dep_ready)
-        end = start + load_cycles
-        self.unit_free["dram"] = end
-        self.ready_queue.append((instr.tile_id, end))
-        self.push_count += 1
-        self.counters.add("read_weights_instructions", 1)
-        self.counters.add("weight_tiles_loaded", 1)
-        self.counters.add("weight_bytes_read", nbytes)
-        self._commit(index, end, "dram")
+    def _walk_data(self) -> None:
+        """Move the data through the stream in program order.
 
-    def _exec_matmul(self, index: int, instr: MatrixMultiply) -> None:
-        cfg = self.config
-        dep_ready, dep_unit, war_ready = self._dep_times(index)
-        matrix_free = self.unit_free["matrix"]
-        shift_done = 0.0
-        tile_ready = 0.0
-        shift_start = 0.0
-        spec = None
-        if instr.load_new_tile:
-            if not self.ready_queue:
-                raise RuntimeError("MatrixMultiply with load_new_tile but empty Weight FIFO")
-            tile_id, tile_ready = self.ready_queue.popleft()
-            spec = self.program.tiles[tile_id]
-            shift_start = max(tile_ready, self.prev_mm_start)
-            self.pop_times.append(shift_start)
-            shift_done = shift_start + cfg.weight_shift_cycles
-            if self.functional:
-                data, _seconds = self.weight_memory.read_tile(tile_id)
-                self.matrix_unit.install_tile(tile_id, data)
-        start = max(matrix_free, shift_done, dep_ready, war_ready)
-        idle = start - matrix_free
-        if idle > 0:
-            stall = 0.0
-            shift = 0.0
-            if instr.load_new_tile:
-                stall = max(0.0, min(start, tile_ready) - matrix_free)
-                shift = max(
-                    0.0,
-                    min(start, shift_done) - max(matrix_free, shift_start, tile_ready),
-                )
-            covered = stall + shift
-            self.weight_stall += stall
-            self.weight_shift += shift
-            rest = idle - covered
-            if rest > 0 and dep_ready >= start - 1e-9:
-                if dep_unit == "dma_in":
-                    self.input_stall += rest
-                else:
-                    self.raw_stall += rest
-        factor = speed_factor(instr.weight_bits, instr.activation_bits)
-        duration = instr.rows * factor
-        end = start + duration
-        self.unit_free["matrix"] = end
-        self.prev_mm_start = start
-        self.active += duration
-        if spec is not None:
-            fill = (spec.rows * spec.cols) / (cfg.matrix_dim * cfg.matrix_dim)
-        else:
-            fill = 1.0
-        self.useful += duration * fill
-        macs = instr.rows * (spec.rows * spec.cols if spec is not None else cfg.macs)
-        self.counters.add("macs_issued", macs)
-        self.counters.add("ops_committed", 2 * macs)
-        self.counters.add("rows_streamed", instr.rows)
-        self.counters.add(
-            "convolve_instructions" if instr.convolve else "matmul_instructions", 1
-        )
-        if self.functional:
-            self._matmul_functional(instr, spec)
-        self._commit(index, end, "matrix")
+        Timing is settled by the replay, so the walk keeps only what the
+        data needs: the Weight FIFO's tile order and the Configure state.
+        The plan already rejected malformed streams.
+        """
+        tiles: deque[int] = deque()
+        for instr in self.program.instructions:
+            if isinstance(instr, ReadWeights):
+                tiles.append(instr.tile_id)
+            elif isinstance(instr, MatrixMultiply):
+                spec = None
+                if instr.load_new_tile:
+                    tile_id = tiles.popleft()
+                    spec = self.program.tiles[tile_id]
+                    data, _seconds = self.weight_memory.read_tile(tile_id)
+                    self.matrix_unit.install_tile(tile_id, data)
+                self._matmul_functional(instr, spec)
+            elif isinstance(instr, Activate):
+                self._activate_functional(instr)
+            elif isinstance(instr, VectorInstruction):
+                self._vector_functional(instr)
+            elif isinstance(instr, ReadHostMemory):
+                self._dma_in_functional(instr)
+            elif isinstance(instr, WriteHostMemory):
+                self._dma_out_functional(instr)
+            elif isinstance(instr, Configure):
+                if instr.key == Configure.KEY_POOLING:
+                    self.pool_config = unpack_pooling_config(instr.value)
+                elif instr.key == Configure.KEY_CONV:
+                    self.conv_config = unpack_pooling_config(instr.value)
+            elif isinstance(instr, Halt):
+                break
 
     def _matmul_functional(self, instr: MatrixMultiply, spec) -> None:
         x = self._read_matmul_input(instr, spec.rows if spec else self.config.matrix_dim)
@@ -910,54 +759,26 @@ class _Run:
         self.counters.add("ub_bytes_read", data.shape[0] * ROW_BYTES)
         return data
 
-    def _exec_activate(self, index: int, instr: Activate) -> None:
-        dep_ready, _unit, war_ready = self._dep_times(index)
-        duration = self.device.activation_unit.cycles(instr.rows * instr.lanes)
-        start = max(self.unit_free["vector"], dep_ready, war_ready)
-        end = start + duration
-        self.unit_free["vector"] = end
-        self.counters.add("activate_instructions", 1)
-        self.counters.add("activation_cycles", duration)
-        if self.functional:
-            entry = self.program.scales[instr.scale_id]
-            acc_rows = self.acc.read(instr.acc_row, instr.rows)
-            codes = self.device.activation_unit.activate(
-                acc_rows,
-                entry.input_scale,
-                entry.weight_scale,
-                entry.output_scale,
-                instr.function,
-            )
-            tensor, rel = self._find_tensor(instr.ub_row)
-            arr = self._tensor_array(tensor)
-            group = rel // tensor.rows
-            r0 = rel % tensor.rows
-            lo = group * ROW_BYTES
-            arr[r0 : r0 + instr.rows, lo : lo + instr.lanes] = codes[:, : instr.lanes]
-            self.counters.add("ub_bytes_written", instr.rows * ROW_BYTES)
-        self._commit(index, end, "vector")
+
+    def _activate_functional(self, instr: Activate) -> None:
+        entry = self.program.scales[instr.scale_id]
+        acc_rows = self.acc.read(instr.acc_row, instr.rows)
+        codes = self.device.activation_unit.activate(
+            acc_rows,
+            entry.input_scale,
+            entry.weight_scale,
+            entry.output_scale,
+            instr.function,
+        )
+        tensor, rel = self._find_tensor(instr.ub_row)
+        arr = self._tensor_array(tensor)
+        group = rel // tensor.rows
+        r0 = rel % tensor.rows
+        lo = group * ROW_BYTES
+        arr[r0 : r0 + instr.rows, lo : lo + instr.lanes] = codes[:, : instr.lanes]
+        self.counters.add("ub_bytes_written", instr.rows * ROW_BYTES)
 
     # -- vector path ------------------------------------------------------
-    def _exec_vector(self, index: int, instr: VectorInstruction) -> None:
-        dep_ready, _unit, war_ready = self._dep_times(index)
-        elements = instr.rows * instr.lanes * VectorKind.PASSES[instr.kind]
-        if instr.kind == VectorKind.POOL and self.pool_config:
-            elements *= self.pool_config["window"] ** 2
-        # Patch streaming runs on the dedicated setup block, concurrent
-        # with the activation pipeline.
-        unit = "setup" if instr.kind == VectorKind.IM2COL else "vector"
-        duration = self.device.activation_unit.cycles(elements)
-        start = max(self.unit_free[unit], dep_ready, war_ready)
-        end = start + duration
-        self.unit_free[unit] = end
-        self.counters.add(
-            "pooling_cycles" if instr.kind == VectorKind.POOL else "activation_cycles",
-            duration,
-        )
-        if self.functional:
-            self._vector_functional(instr)
-        self._commit(index, end, unit)
-
     def _vector_functional(self, instr: VectorInstruction) -> None:
         entry = self.program.scales[instr.scale_id]
         if instr.kind == VectorKind.UNARY:
@@ -1071,21 +892,6 @@ class _Run:
         self.setup[bank] = cols[r0 : r0 + instr.rows].copy()
 
     # -- DMA -----------------------------------------------------------------
-    def _exec_dma_in(self, index: int, instr: ReadHostMemory) -> None:
-        nbytes = instr.rows * ROW_BYTES
-        seconds = self.device.dma.host_to_device(None, nbytes)
-        duration = seconds * self.cycles_per_second
-        _ready, _unit, war_ready = self._dep_times(index)
-        start = max(self.unit_free["dma_in"], war_ready)
-        end = start + duration
-        self.unit_free["dma_in"] = end
-        self.counters.add("read_host_instructions", 1)
-        self.counters.add("pcie_bytes_in", nbytes)
-        self.counters.add("dma_in_cycles", duration)
-        if self.functional:
-            self._dma_in_functional(instr)
-        self._commit(index, end, "dma_in")
-
     def _dma_in_functional(self, instr: ReadHostMemory) -> None:
         if self.host_input is None:
             return
@@ -1103,21 +909,6 @@ class _Run:
         arr = self._tensor_array(tensor)
         arr[: flat.shape[0], : flat.shape[1]] = flat.astype(np.int8)
 
-    def _exec_dma_out(self, index: int, instr: WriteHostMemory) -> None:
-        nbytes = instr.rows * ROW_BYTES
-        seconds = self.device.dma.device_to_host(None, nbytes)
-        duration = seconds * self.cycles_per_second
-        ready, _unit, _war = self._dep_times(index)
-        start = max(self.unit_free["dma_out"], ready)
-        end = start + duration
-        self.unit_free["dma_out"] = end
-        self.counters.add("write_host_instructions", 1)
-        self.counters.add("pcie_bytes_out", nbytes)
-        self.counters.add("dma_out_cycles", duration)
-        if self.functional:
-            self._dma_out_functional(instr)
-        self._commit(index, end, "dma_out")
-
     def _dma_out_functional(self, instr: WriteHostMemory) -> None:
         tensor, _ = self._find_tensor(instr.ub_row)
         arr = self._tensor_array(tensor)
@@ -1133,13 +924,3 @@ class _Run:
             self.output = arr[:, :c].reshape(batch, h, w, c).copy()
         else:
             raise ValueError(f"unsupported output shape {out_shape}")
-
-    # -- control ----------------------------------------------------------
-    def _exec_configure(self, index: int, instr: Configure) -> None:
-        start = self.unit_free["control"]
-        self.unit_free["control"] = start + 1
-        if instr.key == Configure.KEY_POOLING:
-            self.pool_config = unpack_pooling_config(instr.value)
-        elif instr.key == Configure.KEY_CONV:
-            self.conv_config = unpack_pooling_config(instr.value)
-        self._commit(index, start + 1, "control")

@@ -19,6 +19,13 @@ from repro.nn.reference import ReferenceExecutor, initialize_weights, random_inp
 from repro.nn.workloads import paper_workloads
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "oracle: parity against a frozen reference implementation in tests/oracles/",
+    )
+
+
 @pytest.fixture(scope="session")
 def workloads():
     return paper_workloads()

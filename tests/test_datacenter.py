@@ -259,7 +259,7 @@ class TestAutoscaler:
 class TestAutoscalerFastPath:
     """Bulk admission in the autoscaler's dynamic-eligible-set path.
 
-    The ``REPRO_SERVING_FAST`` window logic keys off ``sim.eligible``
+    The bulk-admission window logic keys off ``sim.eligible``
     at admission time, so a routing set that grows and shrinks between
     control ticks neither disables it nor changes a single response:
     the window bound (``min(free_at)`` vs the next heap event) already
@@ -297,16 +297,18 @@ class TestAutoscalerFastPath:
         lambda: PredictivePolicy(6000.0, 0.8, 2.0, lead_seconds=0.15,
                                  target_utilization=0.7),
     ], ids=["reactive", "predictive"])
+    @pytest.mark.oracle
     def test_fast_path_is_bit_identical(self, monkeypatch, policy_factory):
-        from repro.serving import fleet as fleet_mod
+        """Identical to the frozen per-arrival fleet
+        (tests/oracles/fleet_events.py) driven by the same autoscaler."""
+        from oracles.fleet_events import EventFleetSim
+
+        from repro.datacenter import autoscaler
 
         arrivals = diurnal_arrivals(6000.0, 0.8, 2.0, 12000, seed=5)
-
-        def run(fast):
-            monkeypatch.setattr(fleet_mod, "_FAST_DEFAULT", fast)
-            return self._run(policy_factory(), arrivals)
-
-        fast, slow = run(True), run(False)
+        fast = self._run(policy_factory(), arrivals)
+        monkeypatch.setattr(autoscaler, "FleetSim", EventFleetSim)
+        slow = self._run(policy_factory(), arrivals)
         assert np.array_equal(fast.fleet.responses, slow.fleet.responses)
         assert fast.timeline == slow.timeline
         assert fast.powered == slow.powered

@@ -1,14 +1,17 @@
 """Device tests: functional equivalence and timing behaviour."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.compiler.driver import TPUDriver
+from repro.core import device as device_module
 from repro.core.config import TPU_V1
 from repro.core.device import TPUDevice, _timing_plan_for
 from repro.nn.graph import Model
+from repro.nn.reference import random_input
 from tests.conftest import functional_pair
 
 
@@ -46,6 +49,18 @@ class TestFunctionalEquivalence:
         compiled = drv.compile_functional(tiny_mlp, seed=1)
         with pytest.raises(ValueError):
             drv.run(compiled, np.zeros((3, 20), dtype=np.float32))
+
+    @pytest.mark.parametrize(
+        "shape", [None, (3, 20), (5, 21)], ids=["missing", "short_batch", "wrong_width"]
+    )
+    def test_device_rejects_misshaped_input(self, tiny_mlp, shape):
+        """A functional run never computes on zero rows or fails inside
+        numpy: the error names the expected and the given shape."""
+        compiled = TPUDriver().compile_functional(tiny_mlp, seed=1)
+        host_input = None if shape is None else np.zeros(shape, dtype=np.int8)
+        given = "none" if shape is None else str(shape)
+        with pytest.raises(ValueError, match=re.escape(f"(5, 20), got {given}")):
+            TPUDevice(functional=True).run(compiled.program, host_input=host_input)
 
 
 class TestTimingBehaviour:
@@ -103,12 +118,30 @@ class TestTimingBehaviour:
         assert seconds[4] <= seconds[1] * 1.01
         assert abs(seconds[4] - seconds[8]) / seconds[4] < 0.05
 
-    def test_paper_programs_take_the_precomputed_plan(self, workloads, driver):
-        """The vectorized timing path is on by default (REPRO_DEVICE_FAST)."""
-        device = TPUDevice()
-        assert device.fast
-        compiled = driver.compile(workloads["mlp0"])
-        assert _timing_plan_for(compiled.program, device.config) is not None
+    def test_paper_programs_take_the_precomputed_plan(
+        self, workloads, driver, tiny_mlp, monkeypatch
+    ):
+        """Timing, functional and sidecar-less runs all replay the
+        program's cached timing plan -- there is no other engine."""
+        replayed = []
+        original = device_module._Run._replay
+
+        def spy(run, plan):
+            replayed.append(plan)
+            return original(run, plan)
+
+        monkeypatch.setattr(device_module._Run, "_replay", spy)
+        timing = driver.compile(workloads["mlp0"]).program
+        TPUDevice().run(timing)
+        functional = driver.compile_functional(tiny_mlp, seed=1)
+        driver.run(functional, random_input(tiny_mlp, seed=7))
+        sidecar_less = replace(
+            timing, metadata={k: v for k, v in timing.metadata.items() if k != "deps"}
+        )
+        TPUDevice().run(sidecar_less)
+        programs = (timing, functional.program, sidecar_less)
+        assert replayed == [_timing_plan_for(p, TPU_V1) for p in programs]
+        assert all(plan is p._timing_plan[1] for plan, p in zip(replayed, programs))
 
     def test_faster_clock_barely_helps_mlp(self, workloads):
         fast = TPUDriver(TPU_V1.scaled(clock=4.0))

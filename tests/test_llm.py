@@ -228,6 +228,7 @@ def _observed_run(sim_cls, cfg, arrivals, prompts, decodes):
     return result, obs.TRACER.snapshot(), obs.metrics_snapshot()
 
 
+@pytest.mark.oracle
 class TestPerTokenOracleParity:
     """The timeline engine is bit-identical to the frozen per-token engine
     (tests/oracles/llm_per_token.py): every result field, span and metric."""

@@ -226,11 +226,14 @@ def test_serving_metrics_recorded_per_batch():
     assert snapshot["serving.batch_size"]["max"] <= 4
 
 
+@pytest.mark.oracle
 def test_round_robin_replay_emits_the_event_paths_telemetry():
     """The round-robin replay records the same batch and request spans
-    and serving histograms as the event path; only the order differs,
-    and each replica's track is its position in the fleet."""
+    and serving histograms as the frozen event path
+    (tests/oracles/fleet_events.py); only the order differs, and each
+    replica's track is its position in the fleet."""
     import numpy as np
+    from oracles.fleet_events import EventFleetSim
 
     from repro.serving.batcher import TimeoutBatcher
     from repro.serving.fleet import FleetSim, make_router
@@ -238,7 +241,7 @@ def test_round_robin_replay_emits_the_event_paths_telemetry():
 
     arrivals = poisson_arrivals(rate=5000.0, n_requests=400, seed=4)
     seen = {}
-    for fast in (True, False):
+    for fast, sim_cls in ((True, FleetSim), (False, EventFleetSim)):
         obs.TRACER.clear()
         obs.REGISTRY.reset()
         obs.set_tracing(True)
@@ -246,7 +249,7 @@ def test_round_robin_replay_emits_the_event_paths_telemetry():
         replicas = [
             Replica(ConstantCurve(1e-3, 1.5e-3), TimeoutBatcher(8, 5e-4)) for _ in range(3)
         ]
-        result = FleetSim(replicas, make_router("round_robin"), arrivals, fast=fast).run()
+        result = sim_cls(replicas, make_router("round_robin"), arrivals).run()
         spans = sorted(
             (s.name, s.pid, s.ts, s.dur, sorted(s.args.items()))
             for s in obs.TRACER.snapshot() if s.cat == "serving"

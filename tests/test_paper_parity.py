@@ -20,6 +20,8 @@ import dataclasses
 import hashlib
 
 import pytest
+from oracles.device_reference import ReferenceDevice
+from oracles.lowering_per_tile import PerTileLowering
 
 from repro import perfcache
 from repro.analysis import EXPERIMENTS
@@ -84,38 +86,50 @@ def test_paper_table_text_pinned_with_perfcache_disabled(exp_id):
     )
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("name", list(PROGRAM_SHA256))
 def test_vectorized_device_path_bit_identical(name):
-    """The numpy-batched device fast path must match the reference loop.
+    """The device's timing-plan replay must match the frozen
+    per-instruction loop (tests/oracles/device_reference.py).
 
     Cycle counts, seconds, the cycle breakdown, and every counter --
     including the int-vs-float type of each value, which the Table 3
-    rendering distinguishes -- must be identical instruction for
-    instruction.  (The pinned tables above already run through the fast
-    path, so this localizes any future divergence to the device layer.)
+    rendering distinguishes -- must be identical.  (The pinned tables
+    above already run through the library engine, so this localizes any
+    future divergence to the device layer.)
     """
     program = TPUDriver.shared().compile(paper_workloads()[name]).program
-    fast = TPUDevice(fast=True).run(program)
-    reference = TPUDevice(fast=False).run(program)
-    assert fast.cycles == reference.cycles
-    assert fast.seconds == reference.seconds
-    assert dataclasses.asdict(fast.breakdown) == dataclasses.asdict(reference.breakdown)
-    assert fast.counters == reference.counters
-    assert {k: type(v) for k, v in fast.counters.items()} == {
+    library = TPUDevice().run(program)
+    reference = ReferenceDevice().run(program)
+    assert library.cycles == reference.cycles
+    assert library.seconds == reference.seconds
+    assert dataclasses.asdict(library.breakdown) == dataclasses.asdict(reference.breakdown)
+    assert library.counters == reference.counters
+    assert {k: type(v) for k, v in library.counters.items()} == {
         k: type(v) for k, v in reference.counters.items()
     }
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("name", list(PROGRAM_SHA256))
 def test_fast_lowering_bit_identical(name):
-    """The array-emission compiler fast path must match the reference
-    per-tile loop: same instruction stream, same dependency tokens, same
-    metadata -- byte for byte, in the same key order.  (The pinned
-    program hashes above run through the fast path by default; this
-    localizes any future divergence to the emission pass.)"""
+    """The compiler's emission must match the frozen per-tile loop
+    (tests/oracles/lowering_per_tile.py): same instruction stream, same
+    dependency tokens, same metadata -- byte for byte, in the same key
+    order.  (The pinned program hashes above run through the library
+    path; this localizes any future divergence to the emission pass.)"""
     model = paper_workloads()[name]
-    fast = Lowering(model, TPU_V1, fast=True).lower()
-    reference = Lowering(model, TPU_V1, fast=False).lower()
-    assert fast.program.binary() == reference.program.binary()
-    assert fast.program.metadata == reference.program.metadata
-    assert list(fast.program.metadata) == list(reference.program.metadata)
+    library = Lowering(model, TPU_V1).lower()
+    reference = PerTileLowering(model, TPU_V1).lower()
+    assert library.program.binary() == reference.program.binary()
+    assert library.program.metadata == reference.program.metadata
+    assert list(library.program.metadata) == list(reference.program.metadata)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("name", list(PROGRAM_SHA256))
+def test_oracle_lowering_reproduces_program_pins(name):
+    """The pins hold through the oracle emission too, so a re-recorded
+    pin cannot silently bless a drift in the library alone."""
+    program = PerTileLowering(paper_workloads()[name], TPU_V1).lower().program
+    assert hashlib.sha256(program.binary()).hexdigest() == PROGRAM_SHA256[name]

@@ -88,13 +88,6 @@ class TestAccounting:
         assert (stats.hits, stats.misses, stats.entries) == (1, 2, 2)
         assert stats.hit_rate == pytest.approx(1 / 3)
 
-    def test_env_toggle_respected(self, monkeypatch):
-        """REPRO_PERFCACHE=0 builds a disabled cache (results identical)."""
-        monkeypatch.setenv("REPRO_PERFCACHE", "0")
-        assert perfcache.PerfCache().enabled is False
-        monkeypatch.delenv("REPRO_PERFCACHE")
-        assert perfcache.PerfCache().enabled is True
-
     def test_disabled_cache_stores_nothing(self, mlp0):
         cache = perfcache.PerfCache(enabled=False)
         platform = HaswellPlatform()

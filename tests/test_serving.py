@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles.fleet_events import EventFleetSim
+from oracles.fleet_events import run_closed_loop as scalar_closed_loop
 
 import repro.serving.fleet as fleet_module
 from repro.latency.queueing import simulate_batch_queue
@@ -345,16 +347,17 @@ class TestTraffic:
 
 
 class TestVectorizedServingParity:
-    """The REPRO_SERVING_FAST paths must be bit-identical to the
-    reference per-request loops: same responses, same per-replica
-    accounting, same busy timeline.  Overloaded traffic exercises the
-    bulk-admission window; the trailing drain exercises partial
-    batches."""
+    """The library's serving shortcuts must be bit-identical to the
+    frozen per-arrival paths (tests/oracles/fleet_events.py): same
+    responses, same per-replica accounting, same busy timeline.
+    Overloaded traffic exercises the bulk-admission window; the trailing
+    drain exercises partial batches."""
 
     def _replicas(self, n=3):
         curve = ConstantCurve(occupancy_seconds=1e-3, latency_seconds=1.5e-3)
         return [Replica(curve, TimeoutBatcher(8, 5e-4), name=f"r{i}") for i in range(n)]
 
+    @pytest.mark.oracle
     @pytest.mark.parametrize("router", ["round_robin", "jsq"])
     @pytest.mark.parametrize("traffic", ["poisson", "diurnal"])
     def test_fleet_fast_matches_reference(self, router, traffic):
@@ -365,23 +368,22 @@ class TestVectorizedServingParity:
                 mean_rate=4000.0, swing=0.6, period_seconds=0.25,
                 n_requests=3000, seed=3,
             )
-        runs = {}
-        for fast in (True, False):
-            sim = FleetSim(self._replicas(), make_router(router), arrivals, fast=fast)
-            runs[fast] = sim.run()
+        runs = {
+            fast: sim_cls(self._replicas(), make_router(router), arrivals).run()
+            for fast, sim_cls in ((True, FleetSim), (False, EventFleetSim))
+        }
         assert np.array_equal(runs[True].responses, runs[False].responses)
         assert runs[True].served_per_replica == runs[False].served_per_replica
         assert runs[True].batches_per_replica == runs[False].batches_per_replica
         assert runs[True].busy_intervals == runs[False].busy_intervals
 
+    @pytest.mark.oracle
     def test_fleet_fast_matches_reference_under_light_load(self):
         """Below saturation bulk admission must stand down, not misfire."""
         arrivals = poisson_arrivals(rate=500.0, n_requests=1000, seed=9)
         runs = {
-            fast: FleetSim(
-                self._replicas(), make_router("jsq"), arrivals, fast=fast
-            ).run()
-            for fast in (True, False)
+            fast: sim_cls(self._replicas(), make_router("jsq"), arrivals).run()
+            for fast, sim_cls in ((True, FleetSim), (False, EventFleetSim))
         }
         assert np.array_equal(runs[True].responses, runs[False].responses)
         assert runs[True].busy_intervals == runs[False].busy_intervals
@@ -449,11 +451,12 @@ class TestVectorizedServingParity:
         grid=2.0**-11, policy="timeout", shapes=[(6, (3, 0, 0), 0)], first=[0, 3, 0],
         second=[0], gap=None, drain=True, router_offset=0, block=1024,
     )
+    @pytest.mark.oracle
     def test_round_robin_replay_matches_event_path(
         self, grid, policy, shapes, first, second, gap, drain, router_offset, block
     ):
-        """``fast=True`` replays round-robin fleets replica by replica;
-        every result field must equal the event path's.  ``gap`` adds a
+        """The library replays round-robin fleets replica by replica; every
+        result field must equal the oracle event path's.  ``gap`` adds a
         second ``Fleet.run`` on the same fleet, whose router offset and
         per-server ``free_at`` carry over (a negative gap overlaps the
         first run's busy tail, which sends the run to the event path).
@@ -469,7 +472,8 @@ class TestVectorizedServingParity:
                 FleetSim, "_replay_round_robin", autospec=True,
                 side_effect=FleetSim._replay_round_robin,
             )
-            with mock.patch.object(fleet_module, "_FAST_DEFAULT", fast), mock.patch.object(
+            sim_cls = FleetSim if fast else EventFleetSim
+            with mock.patch.object(fleet_module, "FleetSim", sim_cls), mock.patch.object(
                 FleetSim, "_WRITE_BATCHES", block
             ), replay as replayed:
                 outcomes = [self._outcome(lambda: fleet.run(first_trace, drain=drain))]
@@ -482,6 +486,7 @@ class TestVectorizedServingParity:
 
         assert run(True) == run(False)
 
+    @pytest.mark.oracle
     def test_stale_deadline_timer_launches_in_the_rounding_corner(self):
         """A deadline timer left by an earlier head still polls.  Here it
         fires at ``fl(x + 0.1)``, before the new head's own deadline
@@ -492,9 +497,9 @@ class TestVectorizedServingParity:
         assert x + 0.1 < x_next + 0.1 and (x + 0.1) - x_next >= 0.1
         arrivals = np.array([x, x, x_next, 1.0])
         runs = {}
-        for fast in (True, False):
+        for fast, sim_cls in ((True, FleetSim), (False, EventFleetSim)):
             replica = Replica(ConstantCurve(0.0), TimeoutBatcher(2, 0.1))
-            runs[fast] = FleetSim([replica], make_router("round_robin"), arrivals, fast=fast).run()
+            runs[fast] = sim_cls([replica], make_router("round_robin"), arrivals).run()
         assert runs[True].busy_intervals == runs[False].busy_intervals
         assert np.array_equal(runs[True].responses, runs[False].responses)
         # The second batch starts at the stale timer, not the live one.
@@ -544,10 +549,11 @@ class TestVectorizedServingParity:
             ).run(arrivals).fleet
         assert result.responses.size == 300
 
+    @pytest.mark.oracle
     def test_closed_loop_fast_matches_reference(self):
         curve = ConstantCurve(occupancy_seconds=1e-3, latency_seconds=2e-3)
-        fast, fast_server = run_closed_loop(64, 16, curve, n_batches=50, fast=True)
-        ref, ref_server = run_closed_loop(64, 16, curve, n_batches=50, fast=False)
+        fast, fast_server = run_closed_loop(64, 16, curve, n_batches=50)
+        ref, ref_server = scalar_closed_loop(64, 16, curve, n_batches=50)
         assert np.array_equal(fast, ref)
         assert fast_server.busy_intervals == ref_server.busy_intervals
 
