@@ -7,27 +7,19 @@ weight stream is paid once per iteration regardless of batch.  This
 experiment sweeps offered load over the same gpt_s fleet under three
 regimes -- iteration-level (continuous) batching, the fixed-gang
 baseline, and disaggregated prefill/decode pools -- and emits the
-tokens/sec-per-chip vs p99 time-per-token operating curve.  A final
-section validates the iteration engine against the per-request
-reference simulation, mirroring the hybrid-vs-exact check in
-:mod:`repro.analysis.globe`.
+tokens/sec-per-chip vs p99 time-per-token operating curve.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.common import ExperimentResult
 from repro.api.spec import LLMServeScenario
 from repro.serving.continuous import (
-    LLM_VALIDATION_RTOL,
     build_llm_config,
     fleet_capacity_tokens_per_s,
     llm_row,
     run_llm_point,
-    sample_llm_requests,
 )
-from repro.serving.llm_reference import simulate_reference
 from repro.util.tables import TextTable
 
 #: The spec fields ``run`` reads; ``scheduler`` and ``mode`` are swept
@@ -42,12 +34,6 @@ HONORED_FIELDS = (
 
 #: Two decode chips under KV pressure across the whole load range.
 DEFAULT_SCENARIO = LLMServeScenario()
-
-#: Small enough to replay per-request, loaded enough to force eviction.
-_VALIDATION_SCENARIO = LLMServeScenario(
-    chips=1, max_batch=16, prompt_tokens=64, decode_tokens=32,
-    requests=400, loads=(0.9,),
-)
 
 
 def _sweep(scenario: LLMServeScenario) -> list[dict]:
@@ -74,26 +60,6 @@ def _sweep(scenario: LLMServeScenario) -> list[dict]:
             slo_ttft_s=scenario.slo_ttft_seconds,
         ))
     return rows
-
-
-def _reference_error(scenario: LLMServeScenario) -> float:
-    """Max relative finish-time error, engine vs per-request reference."""
-    cfg = build_llm_config(scenario)
-    capacity = fleet_capacity_tokens_per_s(
-        cfg, scenario.prompt_tokens, scenario.decode_tokens
-    )
-    rate = scenario.loads[0] * capacity / scenario.decode_tokens
-    arrivals, prompts, decodes = sample_llm_requests(
-        scenario.requests, rate, scenario.prompt_tokens,
-        scenario.decode_tokens, scenario.seed,
-    )
-    from repro.serving.continuous import ContinuousBatchingSim
-
-    engine = ContinuousBatchingSim(cfg).run(arrivals, prompts, decodes)
-    ref = simulate_reference(cfg, arrivals, prompts, decodes)
-    return float(np.max(
-        np.abs(engine.finish - ref["finish"]) / np.maximum(ref["finish"], 1e-12)
-    ))
 
 
 def run(scenario: LLMServeScenario | None = None) -> ExperimentResult:
@@ -198,24 +164,6 @@ def run(scenario: LLMServeScenario | None = None) -> ExperimentResult:
         row["p99_ttft_ms"] for row in disagg
     ]
     measured["disaggregated_transfers"] = [row["transfers"] for row in disagg]
-
-    errors = {
-        scheduler: _reference_error(
-            _VALIDATION_SCENARIO.replace(scheduler=scheduler)
-        )
-        for scheduler in ("continuous", "fixed")
-    }
-    sections.append(
-        "engine vs per-request reference, "
-        f"{_VALIDATION_SCENARIO.requests}-request trace at load "
-        f"{_VALIDATION_SCENARIO.loads[0]:g}: max finish-time error "
-        f"{errors['continuous']:.2e} (continuous) / "
-        f"{errors['fixed']:.2e} (fixed); tests pin both under "
-        f"{LLM_VALIDATION_RTOL:g} relative."
-    )
-    measured["validation_rel_err_continuous"] = errors["continuous"]
-    measured["validation_rel_err_fixed"] = errors["fixed"]
-    measured["validation_rtol"] = LLM_VALIDATION_RTOL
 
     return ExperimentResult(
         exp_id="llm_operating_curve",

@@ -191,15 +191,30 @@ def _float_tuple(field: str, value: Any) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _field(default: Any, help: str) -> Any:
+    """A flat spec field; ``help`` is its ``python -m repro`` flag's help.
+
+    The CLI derives one flag per flat field (``slo_ms`` -> ``--slo-ms``)
+    and appends the default to this text.
+    """
+    return dataclasses.field(default=default, metadata={"help": help})
+
+
 @dataclass(frozen=True)
 class ProfileScenario(ScenarioSpec):
-    """One workload through nn -> compiler -> core (the ``profile`` command)."""
+    """One workload through nn -> compiler -> core, cycle by cycle.
+
+    Compile the workload for the TPU, replay it on the cycle-level
+    device, and print its Table 3-style cycle breakdown.
+    """
 
     kind: ClassVar[str] = "profile"
 
-    workload: str = "mlp0"
-    weight_bits: int = 8
-    activation_bits: int = 8
+    workload: str = _field(
+        "mlp0", "a workload name, e.g. mlp0|lstm1|cnn0|bert_s|gpt_s "
+                "(`repro list` shows all)")
+    weight_bits: int = _field(8, "weight precision in bits: 8 or 16")
+    activation_bits: int = _field(8, "activation precision in bits: 8 or 16")
 
     def validate(self) -> None:
         if isinstance(self.workload, str):
@@ -211,26 +226,41 @@ class ProfileScenario(ScenarioSpec):
 
 @dataclass(frozen=True)
 class ServeScenario(ScenarioSpec):
-    """A fleet serving run: load sweep or trace replay under a p99 SLO."""
+    """A fleet serving run: load sweep or trace replay under a p99 SLO.
+
+    Event-driven fleet serving simulation: sweep offered load across N
+    replicas and print the p99-vs-throughput operating curve plus the
+    max sustainable throughput under the SLO (the Table 4 mechanism,
+    generalized).
+    """
 
     kind: ClassVar[str] = "serve"
 
-    workload: str = "mlp0"
-    platform: str = "tpu"
-    replicas: int = 1
-    slo_ms: float = 7.0
-    policy: str = "adaptive"
-    batch: int | None = None
-    timeout_ms: float | None = None
-    router: str = "round_robin"
-    loads: tuple[float, ...] = (0.3, 0.5, 0.7, 0.8, 0.9, 0.95)
-    requests: int = 20000
-    seed: int = 0
-    traffic: str = "poisson"
-    diurnal_swing: float = 0.5
-    diurnal_period_s: float | None = None
-    #: When set, replay this arrival-trace file instead of sweeping loads.
-    trace: str | None = None
+    workload: str = _field("mlp0", "any workload from `repro list`, e.g. mlp0 or bert_s")
+    platform: str = _field("tpu", f"platform: {', '.join(PLATFORM_KINDS)}")
+    replicas: int = _field(1, "number of accelerator replicas")
+    slo_ms: float = _field(7.0, "p99 response-time limit in ms; the paper's is 7")
+    policy: str = _field(
+        "adaptive", f"batching policy: {', '.join(BATCH_POLICIES)}")
+    batch: int | None = _field(None, "batch size for the fixed/timeout policies")
+    timeout_ms: float | None = _field(
+        None, "batch collection timeout in ms for the timeout policy")
+    router: str = _field("round_robin", f"router: {', '.join(ROUTERS)}")
+    loads: tuple[float, ...] = _field(
+        (0.3, 0.5, 0.7, 0.8, 0.9, 0.95),
+        "offered loads, comma-separated fractions of fleet capacity")
+    requests: int = _field(20000, "requests simulated per operating point")
+    seed: int = _field(0, "random seed")
+    traffic: str = _field(
+        "poisson",
+        f"arrival process of the load sweep: {', '.join(TRAFFIC_KINDS)}")
+    diurnal_swing: float = _field(
+        0.5, "diurnal load swing in [0, 1) around the mean")
+    diurnal_period_s: float | None = _field(
+        None, "diurnal period in seconds (unset: one cycle per operating point)")
+    trace: str | None = _field(
+        None, "replay this arrival-trace file (one timestamp per line) "
+              "instead of sweeping loads")
 
     @property
     def slo_seconds(self) -> float:
@@ -264,22 +294,31 @@ class ServeScenario(ScenarioSpec):
 
 @dataclass(frozen=True)
 class DatacenterScenario(ScenarioSpec):
-    """Energy-aware capacity planning: provision, autoscale, and price."""
+    """Energy-aware capacity planning: provision, autoscale, and price.
+
+    Find the smallest fleet of each platform meeting the p99 SLO under
+    diurnal traffic, integrate its busy/idle timeline through the
+    calibrated power curves (average vs peak Watts, energy per request),
+    price it with a CapEx+energy TCO model, and compare static, reactive,
+    and predictive autoscaling on the largest fleet (Figure 10's energy
+    penalty at datacenter load).
+    """
 
     kind: ClassVar[str] = "datacenter"
 
-    workload: str = "mlp0"
-    slo_ms: float = 7.0
-    platforms: tuple[str, ...] = ("cpu", "gpu", "tpu")
-    rate: float = 20000.0
-    swing: float = 0.6
-    requests: int = 20000
-    max_replicas: int = 32
-    router: str = "jsq"
-    seed: int = 0
-    usd_per_kwh: float = 0.10
-    pue: float = 1.5
-    capex_per_watt: float = 12.0
+    workload: str = _field("mlp0", "any workload from `repro list`, e.g. mlp0 or bert_s")
+    slo_ms: float = _field(7.0, "p99 response-time limit in ms; the paper's is 7")
+    platforms: tuple[str, ...] = _field(
+        PLATFORM_KINDS, f"comma-separated subset of {','.join(PLATFORM_KINDS)}")
+    rate: float = _field(20000.0, "mean offered load in requests/s")
+    swing: float = _field(0.6, "diurnal swing in [0, 1)")
+    requests: int = _field(20000, "requests simulated (one diurnal cycle)")
+    max_replicas: int = _field(32, "provisioning search ceiling per platform")
+    router: str = _field("jsq", f"router: {', '.join(ROUTERS)}")
+    seed: int = _field(0, "random seed")
+    usd_per_kwh: float = _field(0.10, "electricity price in $/kWh")
+    pue: float = _field(1.5, "power usage effectiveness (>= 1)")
+    capex_per_watt: float = _field(12.0, "CapEx in $ per provisioned TDP Watt")
 
     @property
     def slo_seconds(self) -> float:
@@ -401,33 +440,46 @@ _EXACT_MAX_REQUESTS = 2_000_000
 
 @dataclass(frozen=True)
 class GlobalScenario(ScenarioSpec):
-    """Planet-scale serving: regions, routing, and the hybrid backend."""
+    """Planet-scale serving: regions, routing, and the hybrid backend.
+
+    Phase-offset diurnal demand per region, a global routing policy
+    (latency, cost, or spillover-on-saturation), and a hybrid backend
+    that prices each (cluster, time-bin) cell with closed-form queueing,
+    the exact event engine, or a fluid backlog depending on its distance
+    from the SLO knee.  The default world is three regions a third of a
+    cycle apart; region/cluster trees and RTT overrides come from
+    --config.
+    """
 
     kind: ClassVar[str] = "globe"
 
-    workload: str = "mlp0"
-    slo_ms: float = 7.0
-    policy: str = "adaptive"
-    batch: int | None = None
-    timeout_ms: float | None = None
-    router: str = "round_robin"
-    #: Global routing policy: latency / cost / spillover.
-    routing: str = "latency"
+    workload: str = _field("mlp0", "any workload from `repro list`, e.g. mlp0 or bert_s")
+    slo_ms: float = _field(7.0, "p99 response-time limit in ms; the paper's is 7")
+    policy: str = _field(
+        "adaptive", f"cluster batching policy: {', '.join(BATCH_POLICIES)}")
+    batch: int | None = _field(None, "batch size for the fixed/timeout policies")
+    timeout_ms: float | None = _field(
+        None, "batch collection timeout in ms for the timeout policy")
+    router: str = _field("round_robin", f"cluster router: {', '.join(ROUTERS)}")
+    routing: str = _field(
+        "latency", "global routing policy: latency, cost, spillover")
     regions: tuple[RegionSpec, ...] = DEFAULT_REGIONS
-    period_s: float = 120.0
-    duration_s: float = 120.0
-    bins: int = 24
-    #: ``hybrid`` prices rates; ``exact`` event-simulates every request.
-    backend: str = "hybrid"
-    #: (knee_lo, knee_hi) utilization bounds of the hybrid's event band.
-    knee: tuple[float, float] = (0.35, 1.0)
-    spill_threshold: float = 0.9
-    default_rtt_ms: float = 80.0
+    period_s: float = _field(120.0, "diurnal period in seconds")
+    duration_s: float = _field(120.0, "simulated horizon in seconds")
+    bins: int = _field(24, "time bins over the horizon")
+    backend: str = _field(
+        "hybrid", "hybrid prices rates; exact event-simulates every request "
+                  "(small traces only)")
+    knee: tuple[float, float] = _field(
+        (0.35, 1.0), "lo,hi utilization bounds of the hybrid's event band")
+    spill_threshold: float = _field(
+        0.9, "fill clusters to this utilization before spilling demand")
+    default_rtt_ms: float = _field(80.0, "inter-region round trip in ms")
     #: Symmetric overrides: (region_a, region_b, rtt_ms) triples.
     rtt_ms: tuple[tuple[str, str, float], ...] = ()
-    #: Trace length of each memoized event-regime sample.
-    event_requests: int = 4000
-    seed: int = 0
+    event_requests: int = _field(
+        4000, "trace length of each memoized event-regime sample")
+    seed: int = _field(0, "random seed")
 
     @property
     def slo_seconds(self) -> float:
@@ -523,35 +575,43 @@ class LLMServeScenario(ScenarioSpec):
     (``scheduler="fixed"``, the Table 4 baseline);
     ``mode="disaggregated"`` splits the fleet into prefill and decode
     pools with a KV transfer hop and optional per-pool autoscaling.
+    The sweep emits tokens/sec-per-chip vs p99 time-per-token; a full
+    KV cache evicts to the head of the queue.
     """
 
     kind: ClassVar[str] = "llm"
 
-    workload: str = "gpt_s"
-    scheduler: str = "continuous"
-    mode: str = "aggregated"
-    #: Decode-pool size (the whole fleet in aggregated mode).
-    chips: int = 2
-    prefill_chips: int = 1
-    max_batch: int = 32
-    prefill_batch: int = 8
-    #: Mean prompt/decode lengths; sampled uniform in ``[m - m//2, m + m//2]``.
-    prompt_tokens: int = 96
-    decode_tokens: int = 48
-    requests: int = 2000
-    #: Offered load as fractions of the ideal decode-pool token capacity.
-    loads: tuple[float, ...] = (0.3, 0.5, 0.7, 0.85, 0.95)
-    #: Per-token pace SLO (p99 time-per-token) and first-token SLO.
-    slo_tpot_ms: float = 1.5
-    slo_ttft_ms: float = 100.0
-    #: Unified Buffer MiB held back from the KV cache for activations.
-    kv_reserve_mib: float = 2.0
-    #: Prefill->decode KV hop: fixed RTT plus payload over the link.
-    transfer_ms: float = 0.2
-    link_gbps: float = 100.0
-    #: Per-pool reactive autoscaling (disaggregated mode only).
-    autoscale: bool = False
-    seed: int = 0
+    workload: str = _field("gpt_s", "transformer extension workload")
+    scheduler: str = _field(
+        "continuous", "continuous (iteration-level) or fixed (request-level "
+                      "gang) batching")
+    mode: str = _field(
+        "aggregated", "aggregated (one pool) or disaggregated (prefill and "
+                      "decode pools)")
+    chips: int = _field(
+        2, "decode-pool chips (the whole fleet when aggregated)")
+    prefill_chips: int = _field(1, "prefill-pool chips in disaggregated mode")
+    max_batch: int = _field(32, "decode batch-slot cap per chip")
+    prefill_batch: int = _field(8, "prompts per batched prefill pass")
+    prompt_tokens: int = _field(
+        96, "mean prompt length m; lengths are uniform in [m - m//2, m + m//2]")
+    decode_tokens: int = _field(48, "mean generated length, sampled likewise")
+    requests: int = _field(2000, "requests per load point")
+    loads: tuple[float, ...] = _field(
+        (0.3, 0.5, 0.7, 0.85, 0.95),
+        "offered loads, comma-separated fractions of the ideal decode-pool "
+        "token capacity")
+    slo_tpot_ms: float = _field(1.5, "p99 time-per-token SLO in ms")
+    slo_ttft_ms: float = _field(100.0, "time-to-first-token SLO in ms")
+    kv_reserve_mib: float = _field(
+        2.0, "Unified Buffer MiB held back from the KV cache for activations")
+    transfer_ms: float = _field(
+        0.2, "fixed RTT in ms of the prefill->decode KV hop")
+    link_gbps: float = _field(
+        100.0, "Gb/s of the pool link that carries the KV payload")
+    autoscale: bool = _field(
+        False, "per-pool reactive autoscaling (disaggregated mode only)")
+    seed: int = _field(0, "random seed")
 
     @property
     def slo_tpot_seconds(self) -> float:

@@ -21,7 +21,8 @@ an event-driven, multi-device serving simulator:
 * :mod:`repro.serving.continuous` -- iteration-level (continuous)
   batching for transformer decode under a KV-cache capacity budget,
   with a fixed-gang baseline and disaggregated prefill/decode pools
-  (validated against :mod:`repro.serving.llm_reference`).
+  (validated against the per-request replay in
+  ``tests/oracles/llm_per_request.py``).
 
 Try it: ``python -m repro serve --workload mlp0 --replicas 4 --slo-ms 7``.
 """

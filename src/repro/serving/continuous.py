@@ -30,7 +30,7 @@ slices assembled once, when the run ends.  The run ends at the last
 completion.
 
 The scheduler is validated against an independently written per-request
-event simulation (:mod:`repro.serving.llm_reference`) within
+event simulation (``tests/oracles/llm_per_request.py``) within
 :data:`LLM_VALIDATION_RTOL`, mirroring the hybrid-vs-exact pattern of
 :mod:`repro.globe`.
 """

@@ -2,7 +2,8 @@
 
 The anchor tests mirror ``tests/test_globe.py``: on traces small enough
 to replay per-request, the iteration-level engine's finish times must
-match the reference event simulation within ``LLM_VALIDATION_RTOL`` for
+match the per-request reference event simulation in
+``tests/oracles/llm_per_request.py`` within ``LLM_VALIDATION_RTOL`` for
 both schedulers.  Around that sit the conservation invariants (every
 admitted request emits exactly its decode length even under KV-eviction
 pressure), cross-process seed determinism, the KV accounting closed
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.llm_per_request import simulate_reference
 from oracles.llm_per_token import PerTokenBatchingSim
 
 import repro
@@ -51,7 +53,6 @@ from repro.serving.continuous import (
     run_llm_point,
     sample_llm_requests,
 )
-from repro.serving.llm_reference import simulate_reference
 
 
 @pytest.fixture(autouse=True)
@@ -275,6 +276,7 @@ class TestPerTokenOracleParity:
         assert got_metrics == want_metrics
 
 
+@pytest.mark.oracle
 class TestReferenceValidation:
     @pytest.mark.parametrize("scheduler", ["continuous", "fixed"])
     @pytest.mark.parametrize("load", [0.5, 0.9])
@@ -507,8 +509,6 @@ class TestExperiment:
         assert result.exp_id == "llm_operating_curve"
         measured = result.measured
         assert measured["continuous_beats_fixed"] is True
-        assert measured["validation_rel_err_continuous"] <= LLM_VALIDATION_RTOL
-        assert measured["validation_rel_err_fixed"] <= LLM_VALIDATION_RTOL
         assert len(measured["continuous_goodput_per_chip"]) == 2
         assert all(
             g >= 0 for g in measured["disaggregated_goodput_per_chip"]
